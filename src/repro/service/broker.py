@@ -472,12 +472,6 @@ class TransferBroker:
         return self._tenant_tier(tenant) >= admitted
 
     # -- admission + dispatch ----------------------------------------------
-    def _admissible(self, job: _Job) -> bool:
-        """Both admission clauses (inlined in ``_dispatch``'s hot scan)."""
-        if self._running_by_tenant.get(job.tenant, 0) >= self.config.tenant_quota:
-            return False
-        return self._budget_used + self._nominal <= self._budget
-
     def _dispatch(
         self, batch: Optional[List[Tuple["_Job", FluidFlow]]] = None,
         limit: Optional[int] = None, force: bool = False,
@@ -523,7 +517,7 @@ class TransferBroker:
                 over_quota.add(tenant)
                 continue
             rail, buffer_node, self._cursor = pick_rail(
-                self.fleet.rails, self.config.policy, job.touch_node,
+                self.fleet, self.config.policy, job.touch_node,
                 self._cursor)
             if rail is None:
                 break  # no live rails: leave the queue intact
@@ -592,7 +586,7 @@ class TransferBroker:
             job.started_at = self.ctx.now
         if self.journal is not None:
             self.journal.log_start(job.job_id)
-        rail.jobs[job] = None
+        self.fleet.place(rail, job)
         self._running_by_tenant[job.tenant] = (
             self._running_by_tenant.get(job.tenant, 0) + 1)
         self._budget_used += self._nominal
@@ -640,7 +634,7 @@ class TransferBroker:
         """Return the job's rail slot, quota and bandwidth credits."""
         self._job_released(job)
         if job.rail is not None:
-            job.rail.jobs.pop(job, None)
+            self.fleet.release(job.rail, job)
         self._running_by_tenant[job.tenant] -= 1
         self._budget_used -= self._nominal
         job.rail = None
@@ -820,7 +814,7 @@ class TransferBroker:
         rail = self.fleet.rail_for_link(link)
         if rail is None or not rail.alive:
             return
-        rail.alive = False
+        self.fleet.set_alive(rail, False)
         self._path_cache.clear()  # topology changed: drop memoized routes
         if self._crashed:
             # No control plane to reschedule: the restart reconciles the
@@ -834,7 +828,7 @@ class TransferBroker:
         rail = self.fleet.rail_for_link(link)
         if rail is None or rail.alive:
             return
-        rail.alive = True
+        self.fleet.set_alive(rail, True)
         rail.suspect = 0
         self._path_cache.clear()  # topology changed: drop memoized routes
         self._dispatch()
@@ -861,7 +855,7 @@ class TransferBroker:
                 if rail.link.failed:
                     rail.suspect += 1
                     if rail.suspect >= cfg.suspicion:
-                        rail.alive = False
+                        self.fleet.set_alive(rail, False)
                         rail.suspect = 0
                         self._path_cache.clear()
                         self._reschedule_rail(rail)

@@ -12,10 +12,15 @@ Rails participate in fault plans through their links: ``link:<i>``
 selectors resolve in fleet cabling order, and the broker registers as a
 transfer listener so dead rails trigger job rescheduling (not silent
 stalls).
+
+Least-loaded placement reads the fleet's load-bucket rail index, kept
+exact by routing every job placement, release and liveness flip through
+``place``/``release``/``set_alive``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -45,9 +50,9 @@ class Rail:
     link: Link
     #: NUMA node the sender NIC hangs off (socket locality).
     node: int
-    #: Jobs currently running on this rail (broker-maintained; a dict
-    #: used as an insertion-ordered set, so fault-time rescheduling
-    #: iterates deterministically).
+    #: Jobs currently running on this rail (a dict used as an
+    #: insertion-ordered set, so fault-time rescheduling iterates
+    #: deterministically).  ``jobs`` and ``alive`` change via the fleet.
     jobs: Dict[object, None] = field(default_factory=dict)
     alive: bool = True
     #: Consecutive missed heartbeats (broker-maintained; only used when
@@ -107,6 +112,10 @@ class RailFleet:
                     )
                     self.rails.append(rail)
                     self.rail_by_link[nic.link] = rail
+        # Load-bucket index: _buckets[k] lists the live rails carrying k
+        # jobs by ascending index; no non-empty bucket lies below _floor.
+        self._buckets: List[List[int]] = [[r.index for r in self.rails]]
+        self._floor = 0
         # Each host is a failure domain: ``host:<machine>`` (and the bare
         # index for single-fleet contexts) takes out all its rails at once.
         inj = faults_active(ctx)
@@ -130,6 +139,52 @@ class RailFleet:
         """The rail-locality query: *host*'s rails on NUMA node *node*."""
         return [r for r in self.rails
                 if r.host == host and r.node == node and r.alive]
+
+    # -- load index ----------------------------------------------------------
+    def _reindex(self, rail: Rail, old: Optional[int],
+                 new: Optional[int]) -> None:
+        """Move *rail* from load bucket *old* to *new* (None = absent)."""
+        buckets = self._buckets
+        if old is not None:
+            bucket = buckets[old]
+            del bucket[bisect_left(bucket, rail.index)]
+        if new is not None:
+            while len(buckets) <= new:
+                buckets.append([])
+            insort(buckets[new], rail.index)
+            self._floor = min(self._floor, new)
+
+    def place(self, rail: Rail, job: object) -> None:
+        """Put *job* on *rail*."""
+        if job not in rail.jobs:
+            rail.jobs[job] = None
+            if rail.alive:
+                self._reindex(rail, rail.load - 1, rail.load)
+
+    def release(self, rail: Rail, job: object) -> None:
+        """Take *job* off *rail* (a no-op if it is not there)."""
+        if job in rail.jobs:
+            del rail.jobs[job]
+            if rail.alive:
+                self._reindex(rail, rail.load + 1, rail.load)
+
+    def set_alive(self, rail: Rail, alive: bool) -> None:
+        """Mark *rail* schedulable or dead."""
+        if rail.alive != alive:
+            rail.alive = alive
+            load = rail.load
+            self._reindex(rail, None if alive else load,
+                          load if alive else None)
+
+    def least_loaded(self) -> Optional[Rail]:
+        """The live rail with the fewest jobs, lowest index on ties."""
+        buckets = self._buckets
+        while self._floor < len(buckets):
+            bucket = buckets[self._floor]
+            if bucket:
+                return self.rails[bucket[0]]
+            self._floor += 1
+        return None
 
     def rail_for_link(self, link: Link) -> Optional[Rail]:
         """The rail cabled over *link*, if it belongs to this fleet."""

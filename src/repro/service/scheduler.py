@@ -18,9 +18,9 @@ function of (policy, rail loads, job) and runs are deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.service.fleet import Rail
+from repro.service.fleet import Rail, RailFleet
 
 __all__ = ["POLICIES", "pick_rail"]
 
@@ -28,23 +28,17 @@ __all__ = ["POLICIES", "pick_rail"]
 POLICIES = ("fifo", "numa-aware", "numa-blind")
 
 
-def _least_loaded(rails: List[Rail]) -> Optional[Rail]:
-    best: Optional[Rail] = None
-    for r in rails:
-        if r.alive and (best is None or r.load < best.load):
-            best = r
-    return best
-
-
-def pick_rail(rails: List[Rail], policy: str, touch_node: int,
+def pick_rail(fleet: RailFleet, policy: str, touch_node: int,
               cursor: int) -> Tuple[Optional[Rail], int, int]:
     """Place one job: returns ``(rail, buffer_node, next_cursor)``.
 
     ``rail`` is None when no rail is alive (the broker requeues).
     ``cursor`` is the fifo policy's round-robin position; the other
-    policies pass it through untouched.
+    policies pass it through untouched.  The least-loaded choice reads
+    the fleet's load-bucket index (:meth:`RailFleet.least_loaded`).
     """
     if policy == "fifo":
+        rails = fleet.rails
         n = len(rails)
         for step in range(n):
             rail = rails[(cursor + step) % n]
@@ -52,9 +46,9 @@ def pick_rail(rails: List[Rail], policy: str, touch_node: int,
                 return rail, touch_node, (cursor + step + 1) % n
         return None, touch_node, cursor
     if policy == "numa-blind":
-        return _least_loaded(rails), touch_node, cursor
+        return fleet.least_loaded(), touch_node, cursor
     if policy == "numa-aware":
-        rail = _least_loaded(rails)
+        rail = fleet.least_loaded()
         # bind the buffer to the chosen rail's node (numactl per job)
         return rail, (rail.node if rail is not None else touch_node), cursor
     raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")

@@ -1,6 +1,6 @@
 """Workload generators: who submits transfer jobs, when, and how big.
 
-A :class:`WorkloadGenerator` is an ordinary simulation process that
+A :class:`WorkloadGenerator` is a chain of simulation callbacks that
 draws inter-arrival gaps, tenant identities, file sizes and first-touch
 NUMA nodes from four dedicated RNG streams —
 
@@ -16,6 +16,11 @@ registry (the repository's stream-per-component seed discipline,
 MODELING.md §6), and two runs at one seed submit byte-identical job
 streams regardless of scheduler policy — policies are compared on
 *placement*, never on workload noise.
+
+The tenants, sizes and placement streams each feed one distribution,
+so they are drawn in blocks, bit-identical to as many scalar draws.
+``service.arrivals`` stays scalar: diurnal thinning interleaves
+exponential gaps with uniform acceptance draws on that one stream.
 
 Arrival processes:
 
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice, repeat
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.context import Context
 from repro.util.units import MIB
@@ -49,6 +55,15 @@ ARRIVALS = ("poisson", "diurnal")
 #: Supported file-size distributions (``fixed`` = every job is exactly
 #: ``size_mean`` bytes, drawing nothing from the sizes stream).
 SIZE_DISTS = ("lognormal", "pareto", "fixed")
+
+#: Values drawn per block from each single-distribution stream.
+_BLOCK = 256
+
+
+def _blocks(draw: Callable[[int], List]) -> Iterator:
+    """Values of ``draw(_BLOCK)``, block after block, one at a time."""
+    while True:
+        yield from draw(_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -97,13 +112,15 @@ class WorkloadConfig:
 
 
 class WorkloadGenerator:
-    """Drives job submissions into a broker as a simulation process.
+    """Drives job submissions into a broker as a chain of sim callbacks.
 
     ``submit(tenant, size_bytes, touch_node)`` is called at each
     arrival; it is the broker's ingress (but any callable works, which
     is what the unit tests exploit).  Nothing is scheduled and no RNG
     stream is touched until :meth:`start` — a constructed-but-idle
-    generator is byte-invisible to the rest of the simulation.
+    generator is byte-invisible to the rest of the simulation.  Each
+    context's workload streams belong to one generator: block draws
+    assume nobody else reads them.
     """
 
     def __init__(self, ctx: Context, config: WorkloadConfig,
@@ -122,27 +139,31 @@ class WorkloadGenerator:
         self._stopped = False
 
     # -- draws -------------------------------------------------------------
-    def _draw_size(self) -> float:
-        cfg = self.config
+    def _job_draws(self) -> Iterator[Tuple[str, float, int]]:
+        """``(tenant, size, touch_node)`` per job, each stream block-drawn."""
+        cfg, rng = self.config, self.ctx.rng
+        n_tenants, n_nodes = cfg.n_tenants, self.n_nodes
+        names = [f"tenant{i}" for i in range(n_tenants)]
+        tenants = rng.stream("service.tenants")
+        sized = rng.stream("service.sizes")
+        touches = rng.stream("service.placement")
         if cfg.size_dist == "fixed":
-            return float(cfg.size_mean)  # no draw: the stream is untouched
-        rng = self.ctx.rng.stream("service.sizes")
-        if cfg.size_dist == "lognormal":
+            sizes = repeat(float(cfg.size_mean))  # the stream is untouched
+        elif cfg.size_dist == "lognormal":
             sigma = cfg.lognormal_sigma
             mu = math.log(cfg.size_mean) - 0.5 * sigma * sigma
-            return float(rng.lognormal(mu, sigma))
-        # pareto: scale solved so the mean is size_mean
-        alpha = cfg.pareto_alpha
-        xm = cfg.size_mean * (alpha - 1.0) / alpha
-        return float(xm * (1.0 + rng.pareto(alpha)))
-
-    def _draw_tenant(self) -> str:
-        rng = self.ctx.rng.stream("service.tenants")
-        return f"tenant{int(rng.integers(self.config.n_tenants))}"
-
-    def _draw_touch_node(self) -> int:
-        rng = self.ctx.rng.stream("service.placement")
-        return int(rng.integers(self.n_nodes))
+            sizes = _blocks(
+                lambda k: sized.lognormal(mu, sigma, size=k).tolist())
+        else:  # pareto: scale solved so the mean is size_mean
+            alpha = cfg.pareto_alpha
+            xm = cfg.size_mean * (alpha - 1.0) / alpha
+            sizes = _blocks(
+                lambda k: (xm * (1.0 + sized.pareto(alpha, size=k))).tolist())
+        return zip(
+            _blocks(lambda k: [names[i] for i in
+                               tenants.integers(n_tenants, size=k).tolist()]),
+            sizes,
+            _blocks(lambda k: touches.integers(n_nodes, size=k).tolist()))
 
     def _intensity(self, t: float) -> float:
         """Diurnal intensity at simulated time *t* (peak = config.rate)."""
@@ -153,41 +174,41 @@ class WorkloadGenerator:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Begin submitting (schedules the arrival process)."""
-        self.ctx.sim.process(self._run(), name="service/arrivals")
+        """Begin submitting: a zero-delay boot event draws the first gap
+        (so arrivals keep their place in same-instant schedule order)."""
+        self._arrivals = self.ctx.rng.stream("service.arrivals")
+        self._jobs = self._job_draws()
+        self.ctx.sim.event().succeed().add_callback(self._next_gap)
 
     def stop(self) -> None:
         """Stop after the current gap (no further submissions)."""
         self._stopped = True
 
-    def _run(self):
-        sim = self.ctx.sim
+    def _next_gap(self, _ev=None) -> None:
+        if self._stopped:
+            return
+        gap = float(self._arrivals.exponential(1.0 / self.config.rate))
+        self.ctx.sim.timeout(gap).add_callback(self._arrive)
+
+    def _arrive(self, _ev) -> None:
+        if self._stopped:
+            return
         cfg = self.config
-        arrivals = self.ctx.rng.stream("service.arrivals")
-        while not self._stopped:
-            gap = float(arrivals.exponential(1.0 / cfg.rate))
-            yield sim.timeout(gap)
-            if self._stopped:
+        if cfg.arrival == "diurnal":
+            # Thinning: candidate points arrive at the peak rate and
+            # survive with probability intensity(t)/peak.
+            t = self.ctx.sim.now
+            if self._arrivals.random() >= self._intensity(t) / cfg.rate:
+                self._next_gap()
                 return
-            if cfg.arrival == "diurnal":
-                # Thinning: candidate points arrive at the peak rate and
-                # survive with probability intensity(t)/peak.
-                if arrivals.random() >= self._intensity(sim.now) / cfg.rate:
-                    continue
-            if cfg.burst == 1:
-                # The classic per-tick process, draw-for-draw identical
-                # to every pre-burst seed.
-                self.submitted += 1
-                self.submit(self._draw_tenant(), self._draw_size(),
-                            self._draw_touch_node())
-                continue
-            # Burst: one arrival event carries cfg.burst jobs, each with
-            # its own draws in the per-job order (tenant, size, touch).
-            jobs = [(self._draw_tenant(), self._draw_size(),
-                     self._draw_touch_node()) for _ in range(cfg.burst)]
-            self.submitted += len(jobs)
-            if self.submit_many is not None:
-                self.submit_many(jobs)
-            else:
-                for tenant, size, touch_node in jobs:
-                    self.submit(tenant, size, touch_node)
+        # One arrival event carries cfg.burst jobs, each with its own
+        # (tenant, size, touch) draws; a burst goes in through the bulk
+        # ingress when there is one.
+        jobs = list(islice(self._jobs, cfg.burst))
+        self.submitted += len(jobs)
+        if cfg.burst > 1 and self.submit_many is not None:
+            self.submit_many(jobs)
+        else:
+            for job in jobs:
+                self.submit(*job)
+        self._next_gap()

@@ -64,15 +64,14 @@ class Event:
     (callbacks ran).  ``succeed``/``fail`` trigger it; ``value`` holds the
     payload (or the exception for failed events).
 
-    Events are their own heap entries: ``_time``/``_prio``/``_seq`` are the
-    scheduling key (set by :meth:`Simulator._push`), so scheduling allocates
-    no per-event wrapper tuple.  The callback list is allocated lazily on
-    the first ``add_callback`` — most timeouts carry exactly one waiter and
-    many events none at all.
+    The simulator schedules an event as a ``(time, priority, seq, event)``
+    heap tuple (see :meth:`Simulator._push`): the unique ``seq`` settles
+    every tie in C, so events are never compared.  The callback list is
+    allocated lazily on the first ``add_callback`` — most timeouts carry
+    exactly one waiter and many events none at all.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name",
-                 "_time", "_prio", "_seq")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name")
 
     _PENDING = object()
 
@@ -83,17 +82,6 @@ class Event:
         self._value: Any = Event._PENDING
         self._ok: Optional[bool] = None
         self._processed = False
-        self._time = 0.0
-        self._prio = NORMAL
-        self._seq = 0
-
-    def __lt__(self, other: "Event") -> bool:
-        # Heap ordering: (time, priority, schedule sequence).
-        if self._time != other._time:
-            return self._time < other._time
-        if self._prio != other._prio:
-            return self._prio < other._prio
-        return self._seq < other._seq
 
     # -- state ------------------------------------------------------------
     @property
@@ -372,7 +360,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
         self.stats = SimStats()
@@ -417,12 +405,10 @@ class Simulator:
     # -- scheduling -----------------------------------------------------------
     def _push(self, event: Event, priority: int, delay: float = 0.0,
               at: Optional[float] = None) -> None:
-        event._time = self._now + delay if at is None else at
-        event._prio = priority
         self._seq = seq = self._seq + 1
-        event._seq = seq
         heap = self._heap
-        heappush(heap, event)
+        heappush(heap, (self._now + delay if at is None else at,
+                        priority, seq, event))
         stats = self.stats
         stats.events_scheduled += 1
         if len(heap) > stats.heap_peak:
@@ -498,14 +484,13 @@ class Simulator:
         heap = self._heap
         if not heap:
             raise SimulationError("step() on an empty schedule")
-        if self._advance_hooks and heap[0]._time > self._now:
+        if self._advance_hooks and heap[0][0] > self._now:
             # The current instant is over: flush deferred work before any
             # later event runs (hooks may schedule earlier events, e.g. a
             # coalesced rebalance's completion timer — heappop finds them).
             for hook in self._advance_hooks:
                 hook()
-        event = heappop(heap)
-        t = event._time
+        t, _prio, _seq, event = heappop(heap)
         if t < self._now - 1e-12:
             raise SimulationError(f"time went backwards: {t} < {self._now}")
         if t > self._now:
@@ -518,7 +503,8 @@ class Simulator:
             for cb in callbacks:
                 cb(event)
         # Recycle plain timeouts nobody holds a reference to any more
-        # (CPython: the local `event` plus getrefcount's own argument).
+        # (CPython: the local `event` plus getrefcount's own argument; the
+        # popped heap tuple died when it was unpacked).
         if (
             type(event) is Timeout
             and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
@@ -529,7 +515,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next event, or +inf if none."""
-        return self._heap[0]._time if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -569,14 +555,14 @@ class Simulator:
                 raise SimulationError(f"cannot run until {horizon} < now={self._now}")
             heap = self._heap
             while True:
-                while heap and heap[0]._time <= horizon:
+                while heap and heap[0][0] <= horizon:
                     self.step()
                 # Flush deferred work before the clock jumps to the
                 # horizon: a coalesced rebalance may schedule completions
                 # inside the horizon, in which case the loop resumes.
                 if not self._flush_advance_hooks():
                     break
-                if not (heap and heap[0]._time <= horizon):
+                if not (heap and heap[0][0] <= horizon):
                     break
             self._now = horizon
             return None

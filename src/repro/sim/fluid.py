@@ -289,7 +289,8 @@ class FluidFlow:
         "started_at",
         "finished_at",
         # array-solver state: slot index + owning scheduler while active,
-        # cached incidence row (resource ids / weights), charge-pool range
+        # incidence row (resource ids / weights, built on first use by an
+        # array allocation), charge-pool range
         "_slot",
         "_sched",
         "_res_ids",
@@ -393,6 +394,15 @@ class FluidFlow:
         )
 
 
+def _build_incidence(flow: FluidFlow) -> np.ndarray:
+    """Cache the flow's incidence row; returns its resource ids."""
+    n = len(flow._weights)
+    flow._res_ws = np.fromiter(flow._weights.values(), dtype=float, count=n)
+    flow._res_ids = ids = np.fromiter((r._idx for r in flow._weights),
+                                      dtype=np.intp, count=n)
+    return ids
+
+
 class FluidScheduler:
     """Allocates rates to active flows and schedules their completions.
 
@@ -468,20 +478,8 @@ class FluidScheduler:
             self._c_dead = 0
             self._accounts: list[Any] = []
             self._acct_index: dict[int, int] = {}
-            # Resource incidence pool (CSR data: flow-slot row, global
-            # resource col, weight value) covering every active flow.
-            # Appended on start; a stopping flow's entries are tombstoned
-            # (slot -1) and the pool is mask-compacted once a whole-graph
-            # allocation needs it or dead entries dominate.
-            self._e_res = np.zeros(n, dtype=np.intp)
-            self._e_w = np.zeros(n)
-            self._e_slot = np.zeros(n, dtype=np.intp)
-            self._e_used = 0
-            self._e_dead = 0
             # Scratch map global-resource-id -> component-local id.
             self._res_scratch = np.zeros(0, dtype=np.intp)
-            # Scratch map flow-slot -> component-local id.
-            self._flow_scratch = np.zeros(n, dtype=np.intp)
             # Scratch for the per-round residual/wsum division.
             self._div = np.empty(16)
 
@@ -745,24 +743,6 @@ class FluidScheduler:
         self._f_cap[slot] = np.inf if flow.cap is None else flow.cap
         self._f_size[slot] = np.inf if flow.size is None else flow.size
         self._f_transferred[slot] = flow._transferred
-        ids = flow._res_ids
-        if ids is None:
-            n = len(flow._weights)
-            ids = np.fromiter(
-                (r._idx for r in flow._weights), dtype=np.intp, count=n
-            )
-            flow._res_ids = ids
-            flow._res_ws = np.fromiter(
-                flow._weights.values(), dtype=float, count=n
-            )
-        ne = ids.size
-        start = self._e_used
-        if start + ne > self._e_slot.size:
-            self._grow_entries(start + ne)
-        self._e_res[start: start + ne] = ids
-        self._e_w[start: start + ne] = flow._res_ws
-        self._e_slot[start: start + ne] = slot
-        self._e_used = start + ne
         charges = [(a, c) for a, c in flow.charges if c != 0.0]
         if charges:
             start = self._c_len
@@ -807,30 +787,6 @@ class FluidScheduler:
         self._f_transferred[old:] = 0.0
         self._slot_flow.extend([None] * old)
         self._free_slots.extend(range(new - 1, old - 1, -1))
-        fsc = np.zeros(new, dtype=np.intp)
-        fsc[:old] = self._flow_scratch
-        self._flow_scratch = fsc
-
-    def _grow_entries(self, need: int) -> None:
-        new = max(need, self._e_slot.size * 2)
-        for name, dtype in (("_e_res", np.intp), ("_e_w", float),
-                            ("_e_slot", np.intp)):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=dtype)
-            grown[: arr.size] = arr
-            setattr(self, name, grown)
-
-    def _compact_entries(self) -> None:
-        """Drop tombstoned incidence entries (churn-threshold rebuild)."""
-        u = self._e_used
-        alive = self._e_slot[:u] >= 0
-        k = int(alive.sum())
-        if k != u:
-            self._e_res[:k] = self._e_res[:u][alive]
-            self._e_w[:k] = self._e_w[:u][alive]
-            self._e_slot[:k] = self._e_slot[:u][alive]
-        self._e_used = k
-        self._e_dead = 0
 
     def _grow_charges(self, need: int) -> None:
         new = max(need, self._c_slot.size * 2)
@@ -851,11 +807,6 @@ class FluidScheduler:
         flow._sched = None
         self._slot_flow[slot] = None
         self._free_slots.append(slot)
-        es = self._e_slot[: self._e_used]
-        es[es == slot] = -1
-        self._e_dead += flow._res_ids.size
-        if self._e_dead * 2 > self._e_used:
-            self._compact_entries()
         if flow._c_n:
             # Zero the costs in place: the entries become inert even if
             # the slot is reused before the next compaction.
@@ -1169,31 +1120,22 @@ class FluidScheduler:
         flow ``ent_flow[k]`` consumes ``ent_w[k]`` bytes of local
         resource ``ent_res[k]`` per payload byte.  Each filling round is
         a handful of fused array ops regardless of component size.
+
+        The entries are gathered from the member flows' rows on demand.
+        A whole-graph call gathers them in activation (``_active``)
+        order, so the ``bincount`` sums over them add up in a fixed
+        order whatever order component discovery visited the flows in.
         """
+        if len(flows) == len(self._active):
+            flows = self._active
         F = len(flows)
         R = len(touched_res)
         slots = np.fromiter((f._slot for f in flows), dtype=np.intp, count=F)
-        if F == len(self._active):
-            # Whole-graph allocation (the common churn regime): the
-            # incrementally-maintained incidence pool already holds every
-            # entry; compact tombstones away and use it in place.
-            if self._e_dead:
-                self._compact_entries()
-            u = self._e_used
-            ent_res_g = self._e_res[:u]
-            ent_w = self._e_w[:u]
-            fsc = self._flow_scratch
-            fsc[slots] = np.arange(F)
-            ent_flow = fsc[self._e_slot[:u]]
-        else:
-            # Sub-component: gather the member flows' cached rows.
-            res_rows = [f._res_ids for f in flows]
-            ent_res_g = np.concatenate(res_rows)
-            ent_w = np.concatenate([f._res_ws for f in flows])
-            counts = np.fromiter(
-                (a.size for a in res_rows), dtype=np.intp, count=F
-            )
-            ent_flow = np.repeat(np.arange(F), counts)
+        rows = [f._res_ids if f._res_ids is not None else _build_incidence(f)
+                for f in flows]
+        ent_res_g = np.concatenate(rows)
+        ent_w = np.concatenate([f._res_ws for f in flows])
+        ent_flow = np.repeat(np.arange(F), list(map(len, rows)))
         # Map global resource ids to component-local [0, R) via scratch.
         if self._res_scratch.size < len(self._resources):
             self._res_scratch = np.zeros(len(self._resources), dtype=np.intp)

@@ -57,6 +57,24 @@ def test_report_cache_hits_reproduce_fresh_run(tmp_path):
     assert cache.stats.misses == stats["tasks"]  # unchanged by the warm run
 
 
+def test_executed_counts_only_the_reports_own_tasks(tmp_path):
+    # The fleet experiment's tasks shard their legs through nested
+    # run_tasks calls; those cells are not report tasks.  Serial without
+    # a cache (the ambient context), serial with one, and two workers
+    # must all report the same count of top-level tasks that ran.
+    only = ("fleet",)
+    counts = []
+    for kwargs in ({}, {"cache": ResultCache(tmp_path / "c")}, {"jobs": 2}):
+        stats: dict = {}
+        generate_experiments_md(quick=True, only=only, stats=stats, **kwargs)
+        counts.append(stats["executed"])
+    assert counts == [stats["tasks"]] * 3
+    warm: dict = {}
+    generate_experiments_md(quick=True, only=only, stats=warm,
+                            cache=ResultCache(tmp_path / "c"))
+    assert warm["executed"] == 0
+
+
 def test_sensitivity_grid_parallel_matches_serial():
     constants = ("qpi_bandwidth",)
     serial = run_sensitivity(constants=constants)

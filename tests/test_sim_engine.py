@@ -325,3 +325,50 @@ def test_many_processes_share_clock():
     sim.run()
     assert done == sorted(done)
     assert len(done) == 10
+
+
+def test_same_instant_urgent_before_normal_fifo_within_priority():
+    from repro.sim.engine import URGENT
+
+    sim = Simulator()
+    order = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt as intr:
+            order.append((sim.now, intr.cause))
+
+    p1 = sim.process(sleeper())
+    p2 = sim.process(sleeper())
+    events = {tag: sim.event() for tag in ("n1", "u1", "n2", "u2")}
+    for tag, ev in events.items():
+        ev.add_callback(lambda _ev, tag=tag: order.append((sim.now, tag)))
+
+    def burst(_ev):
+        # Scheduled interleaved; URGENT (interrupts included) must run
+        # first, each priority class in the order it was scheduled.
+        events["n1"].succeed()
+        p1.interrupt("p1")
+        events["u1"].succeed(priority=URGENT)
+        events["n2"].succeed()
+        p2.interrupt("p2")
+        events["u2"].succeed(priority=URGENT)
+
+    sim.timeout(1.0).add_callback(burst)
+    sim.run()
+    assert order == [(1.0, tag) for tag in
+                     ("p1", "u1", "p2", "u2", "n1", "n2")]
+
+
+def test_long_run_recycles_timeouts():
+    sim = Simulator()
+
+    def ticker():
+        for _ in range(5000):
+            yield sim.timeout(0.001)
+
+    sim.process(ticker())
+    sim.run()
+    assert sim.stats.timeouts_reused > 4000
+    assert sim.stats.heap_peak <= 2

@@ -1,5 +1,6 @@
 """Unit + property tests for the fluid max-min fair scheduler."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,3 +364,45 @@ def test_conservation_of_bytes(n_flows, capacity):
     assert total == pytest.approx(sum(sizes), rel=1e-9)
     # serial lower bound on completion: all bytes through one pipe
     assert sim.now >= sum(sizes) / capacity * (1 - 1e-9)
+
+
+def _wide_component(first, second):
+    """40 uncapped flows over 4 shared resources (one array-solver
+    component); *first* then *second* get new capacities at one instant."""
+    rng = np.random.default_rng(3)
+    sim = Simulator()
+    sched = FluidScheduler(sim, solver="array")
+    res = [FluidResource(sched, float(rng.uniform(1e9, 3e9)), f"r{i}")
+           for i in range(4)]
+    flows = []
+    for k in range(40):
+        a, b = rng.choice(4, size=2, replace=False)
+        path = [(res[a], float(rng.uniform(0.3, 2.0))),
+                (res[b], float(rng.uniform(0.3, 2.0)))]
+        flows.append(FluidFlow(path, size=None, name=f"f{k}"))
+    sched.start_many(flows)
+    sched.flush()
+    assert all(f._res_ids is not None for f in flows)
+    new = {0: 0.71e9, 3: 2.3e9}
+    res[first].set_capacity(new[first])
+    res[second].set_capacity(new[second])
+    return [f.rate for f in flows], [r.load for r in res]
+
+
+def test_whole_graph_allocation_does_not_depend_on_discovery_order():
+    # The dirty seeds differ, so component discovery visits the flows in
+    # different orders; the array allocation gathers a whole graph in
+    # activation order, so rates and loads agree to the last bit.
+    assert _wide_component(0, 3) == _wide_component(3, 0)
+
+
+def test_incidence_rows_are_built_only_by_array_allocations():
+    sim = Simulator()
+    sched = FluidScheduler(sim, solver="array")
+    flows = [FluidFlow([(FluidResource(sched, 1e9), 1.0)], size=1e6)
+             for _ in range(20)]
+    for flow in flows:  # one-flow allocations only
+        sched.start(flow)
+        sched.flush()
+    sim.run()
+    assert all(f.transferred == 1e6 and f._res_ids is None for f in flows)
