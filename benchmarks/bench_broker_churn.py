@@ -3,17 +3,16 @@
 Runs one churn-dominated serving scenario — two pods of 8 front-end
 hosts whose tenants all egress over the shared WAN (so every job joins
 the fabric's one giant fluid component), fed 64-job same-timestamp
-arrival bursts of fixed-size transfers — under both churn modes of
-:mod:`repro.sim.fluid`:
+arrival bursts of fixed-size transfers — twice:
 
-* **eager** (``REPRO_CHURN=eager``) — the pre-coalescing behavior:
-  every flow start and finish re-settles and re-balances its component
-  immediately, so a 64-job burst pays 64 full allocation passes and a
-  same-instant completion wave pays one more per job;
-* **coalesce** (the default) — transitions mark components dirty and
-  defer to a single rebalance flushed when the event clock advances,
-  so the same burst (dispatched through the broker's bulk
-  ``submit_many`` → ``start_many`` path) pays one.
+* **eager** (the reference of ``tests/oracles/churn.py``) — every flow
+  start and finish re-balances its component immediately, so a 64-job
+  burst pays 64 full allocation passes and a same-instant completion
+  wave pays one more per job;
+* **coalesce** (:mod:`repro.sim.fluid` as it runs) — transitions mark
+  components dirty and defer to a single rebalance flushed when the
+  event clock advances, so the same burst (dispatched through the
+  broker's bulk ``submit_many`` → ``start_many`` path) pays one.
 
 The win is algorithmic — O(instants) instead of O(transitions) full
 allocation passes over the WAN-coupled component — and the checks pin
@@ -30,12 +29,14 @@ committed baseline with::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 
 from repro.service.fabric import FabricSpec, run_fabric
 from repro.sim.engine import Simulator
+from tests.oracles.churn import eager_churn
 
 SEED = 7
 #: The churn-heavy serving leg: every tenant is a WAN tenant, so all
@@ -58,20 +59,14 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_CHURN_MIN_SPEEDUP", "3.0"))
 
 
 def _run_mode(mode: str) -> tuple[dict, float, int]:
-    """One single-process fabric run under REPRO_CHURN=*mode*."""
-    saved = os.environ.get("REPRO_CHURN")
-    os.environ["REPRO_CHURN"] = mode
-    try:
+    """One single-process fabric run, eager or coalesced."""
+    churn = eager_churn() if mode == "eager" else contextlib.nullcontext()
+    with churn:
         events_before = Simulator.events_processed_total
         t0 = time.perf_counter()
         result = run_fabric(SPEC, seed=SEED, sharded=False)
         wall = time.perf_counter() - t0
         events = Simulator.events_processed_total - events_before
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CHURN", None)
-        else:
-            os.environ["REPRO_CHURN"] = saved
     return result, wall, events
 
 

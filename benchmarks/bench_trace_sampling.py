@@ -1,15 +1,16 @@
-"""Sampler microbenchmark: analytic backfill vs per-tick event sampling.
+"""Sampler microbenchmark: analytic backfill vs per-tick sampling.
 
 Runs the paper-scale (``quick=False``) fig13 + fig14 WAN sweeps — the
 most probe-dense experiments in the repository (a block-size x streams
 grid, each cell carrying a 1 Hz throughput probe over 300 simulated
-seconds) — once per sampler backend, with the schedule repeated
+seconds) — once with the backfill sampler and once with the per-tick
+reference of ``tests/oracles/sampling.py``, with the schedule repeated
 ``INNER`` times per leg so the walls are long enough to time reliably.
 Legs are interleaved across ``REPS`` repetitions so machine-load drift
-hits both backends; each backend scores its best (least-disturbed) wall.
+hits both arms; each arm scores its best (least-disturbed) wall.
 
 The JSON payload records both walls and the speedup; the checks assert
-the two backends produced byte-identical paper-vs-measured values (the
+the two arms produced byte-identical paper-vs-measured values (the
 backfill sampler replaces *when* counters are read, never the dynamics)
 and exact deterministic sampler counters, so the regression gate catches
 both a performance collapse (events/sec) and a divergence (check drift).
@@ -28,6 +29,7 @@ Refresh the committed baseline with::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -35,11 +37,12 @@ import time
 from repro.core.experiments import exp_fig13_wan_bw, exp_fig14_wan_cpu
 from repro.sim import Simulator
 from repro.sim.sampling import SamplerHub
+from tests.oracles.sampling import per_tick_sampling
 
 #: Full-scale fig13+fig14 runs per timed leg (stacks ~30-100 ms walls
 #: into something a wall clock can resolve).
 INNER = 4
-#: Interleaved repetitions; each backend keeps its best wall.
+#: Interleaved repetitions; each arm keeps its best wall.
 REPS = 3
 SEED = 20130417  # same vintage as bench_fluid_solver; any fixed value works
 #: In-test floor — the ISSUE 4 acceptance target itself (3x), because the
@@ -47,16 +50,20 @@ SEED = 20130417  # same vintage as bench_fluid_solver; any fixed value works
 MIN_SPEEDUP = float(os.environ.get("REPRO_SAMPLING_BENCH_MIN_SPEEDUP", "3.0"))
 
 
-def _run_leg(sampler: str) -> dict:
-    """INNER paper-scale fig13+fig14 runs under one backend."""
-    os.environ["REPRO_SAMPLER"] = sampler
+def _run_leg(arm: str) -> dict:
+    """INNER paper-scale fig13+fig14 runs under one sampling arm."""
     events_before = Simulator.events_processed_total
     totals_before = SamplerHub.process_totals()
     reports = []
+    sampling = (per_tick_sampling() if arm == "tick"
+                else contextlib.nullcontext())
     t0 = time.perf_counter()
-    for _ in range(INNER):
-        reports.append(exp_fig13_wan_bw.run(quick=False, seed=SEED % 1000))
-        reports.append(exp_fig14_wan_cpu.run(quick=False, seed=SEED % 1000))
+    with sampling:
+        for _ in range(INNER):
+            reports.append(exp_fig13_wan_bw.run(quick=False,
+                                                seed=SEED % 1000))
+            reports.append(exp_fig14_wan_cpu.run(quick=False,
+                                                 seed=SEED % 1000))
     wall = time.perf_counter() - t0
     totals_after = SamplerHub.process_totals()
     return {
@@ -72,22 +79,15 @@ def _run_leg(sampler: str) -> dict:
 
 
 def test_trace_sampling_backfill(results_dir):
-    saved = os.environ.get("REPRO_SAMPLER")
-    runs = {"event": [], "backfill": []}
-    try:
-        for _ in range(REPS):
-            for sampler in ("event", "backfill"):
-                runs[sampler].append(_run_leg(sampler))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SAMPLER", None)
-        else:
-            os.environ["REPRO_SAMPLER"] = saved
+    runs = {"tick": [], "backfill": []}
+    for _ in range(REPS):
+        for arm in ("tick", "backfill"):
+            runs[arm].append(_run_leg(arm))
 
-    ev, bf = runs["event"][0], runs["backfill"][0]
-    wall_event = min(r["wall"] for r in runs["event"])
+    ev, bf = runs["tick"][0], runs["backfill"][0]
+    wall_tick = min(r["wall"] for r in runs["tick"])
     wall_backfill = min(r["wall"] for r in runs["backfill"])
-    speedup = wall_event / wall_backfill if wall_backfill > 0 else 0.0
+    speedup = wall_tick / wall_backfill if wall_backfill > 0 else 0.0
 
     per_run = bf["backfilled"] // INNER
     checks = [
@@ -96,7 +96,7 @@ def test_trace_sampling_backfill(results_dir):
         ("measured-values-identical", True, ev["measured"] == bf["measured"],
          ev["measured"] == bf["measured"]),
         ("samples-backfilled-per-run", per_run, per_run, per_run > 0),
-        ("event-backend-backfills-nothing", 0, ev["backfilled"],
+        ("per-tick-reference-backfills-nothing", 0, ev["backfilled"],
          ev["backfilled"] == 0),
         ("backfill-skips-heap-events", True, bf["events"] < ev["events"],
          bf["events"] < ev["events"]),
@@ -119,11 +119,11 @@ def test_trace_sampling_backfill(results_dir):
             for m, p, v, ok in checks
         ],
         # Microbenchmark extras (ignored by the gate, kept for humans):
-        "wall_event": wall_event,
+        "wall_tick": wall_tick,
         "wall_backfill": wall_backfill,
         "speedup": speedup,
         "inner_runs": INNER,
-        "events_event": ev["events"],
+        "events_tick": ev["events"],
         "samples_backfilled": bf["backfilled"],
     }
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -131,16 +131,16 @@ def test_trace_sampling_backfill(results_dir):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print(f"\ntrace sampling (fig13+fig14 full x{INNER}): "
-          f"event {wall_event * 1e3:.1f} ms, "
+          f"per-tick {wall_tick * 1e3:.1f} ms, "
           f"backfill {wall_backfill * 1e3:.1f} ms -> {speedup:.2f}x "
           f"({per_run} samples backfilled per run, "
           f"{ev['events'] - bf['events']} heap events skipped per leg)")
 
-    assert all_ok, "sampler backends diverged: " + ", ".join(
+    assert all_ok, "backfill diverged from per-tick sampling: " + ", ".join(
         f"{m} (expected={p!r}, got={v!r})"
         for m, p, v, ok in checks if not ok
     )
     assert speedup >= MIN_SPEEDUP, (
         f"backfill speedup {speedup:.2f}x below floor {MIN_SPEEDUP:.2f}x "
-        f"(event {wall_event:.4f}s, backfill {wall_backfill:.4f}s)"
+        f"(per-tick {wall_tick:.4f}s, backfill {wall_backfill:.4f}s)"
     )

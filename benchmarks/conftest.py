@@ -31,12 +31,19 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
 
 from repro.exec import ResultCache, executor
 from repro.sim.engine import Simulator
+
+# The microbenchmarks' reference arms import the test oracles
+# (``tests.oracles``) by package name, from the repository root.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -72,7 +72,7 @@ def _apply_faults_flag(args) -> int:
 def cmd_run(args) -> int:
     """Run one experiment (or all) and print its report."""
     rc = (_apply_faults_flag(args) or _apply_service_flags(args)
-          or _apply_availability_flags(args) or _apply_gang_flag(args))
+          or _apply_availability_flags(args))
     if rc:
         return rc
     mods = _all_modules()
@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     """Regenerate the EXPERIMENTS.md ledger."""
     rc = (_apply_faults_flag(args) or _apply_service_flags(args)
-          or _apply_availability_flags(args) or _apply_gang_flag(args))
+          or _apply_availability_flags(args))
     if rc:
         return rc
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -130,16 +130,13 @@ def cmd_report(args) -> int:
           f"wall={stats['wall_seconds']:.2f}s")
     fluid = stats.get("fluid")
     if fluid is not None:
-        print(f"[fluid] solver={fluid['solver']}  "
-              f"rebalances={fluid['rebalances']}  "
+        print(f"[fluid] rebalances={fluid['rebalances']}  "
               f"allocations={fluid['allocations']}  "
               f"recomputed={fluid['flows_recomputed']}  "
               f"skipped={fluid['flows_skipped']}")
     sampler = stats.get("sampler")
     if sampler is not None:
-        print(f"[sampler] backend={sampler['backend']}  "
-              f"samples_backfilled={sampler['samples_backfilled']}  "
-              f"events_skipped={sampler['events_skipped']}")
+        print(f"[sampler] samples_backfilled={sampler['samples_backfilled']}")
     faults = stats.get("faults")
     if faults is not None:
         plan_note = "ambient" if faults.get("plan") else "none"
@@ -284,23 +281,6 @@ def _apply_availability_flags(args) -> int:
     return 0
 
 
-def _add_gang_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gang", default=None, choices=("auto", "off"),
-        help="gang execution of dense scenario sweeps: 'auto' batches "
-        "grids sharing a gang kernel into one scenario-axis program, "
-        "'off' forces the per-task path (sets REPRO_GANG; results are "
-        "byte-identical either way — only the wall clock changes)")
-
-
-def _apply_gang_flag(args) -> int:
-    """Export ``--gang`` as REPRO_GANG (inherited by worker processes)."""
-    mode = getattr(args, "gang", None)
-    if mode is not None:
-        os.environ["REPRO_GANG"] = mode
-    return 0
-
-
 def _apply_service_flags(args) -> int:
     """Export the service-experiment knobs (inherited by workers).
 
@@ -352,7 +332,6 @@ def main(argv=None) -> int:
     _add_faults_flag(p_run)
     _add_service_flags(p_run)
     _add_availability_flags(p_run)
-    _add_gang_flag(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_rep = sub.add_parser(
@@ -372,7 +351,6 @@ def main(argv=None) -> int:
     _add_faults_flag(p_rep)
     _add_service_flags(p_rep)
     _add_availability_flags(p_rep)
-    _add_gang_flag(p_rep)
     p_rep.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="directory of the content-addressed result cache "

@@ -341,9 +341,10 @@ def sensitivity_tasks(
     """The ±delta perturbation grid as independent tasks, in grid order.
 
     Every cell carries the grid's :class:`~repro.exec.GangSpec`, so a
-    batch of cells gangs through :func:`gang_cells` under
-    ``REPRO_GANG=auto`` while staying an ordinary per-task grid under
-    ``off`` (and for whatever cells a partial cache leaves unserved).
+    batch of cells gangs through :func:`gang_cells`.  A lone cell (for
+    instance the one miss a partial cache leaves unserved), a defected
+    cell, or the same tasks with ``gang=None`` run the ordinary per-task
+    path, with bitwise-identical results.
     """
     cal = None if base is CALIBRATION else base
     spec = GangSpec(

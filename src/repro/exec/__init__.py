@@ -21,7 +21,7 @@ invariants that make this safe.
 
 from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.fingerprint import code_fingerprint
-from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid, gang_mode
+from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid
 from repro.exec.runner import (ExecContext, default_jobs, executor,
                                get_exec_context, run_tasks)
 from repro.exec.task import SimTask
@@ -38,7 +38,6 @@ __all__ = [
     "default_jobs",
     "executor",
     "gang_calgrid",
-    "gang_mode",
     "get_exec_context",
     "run_tasks",
 ]

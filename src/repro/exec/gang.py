@@ -29,8 +29,10 @@ partially cached grid gangs only the misses and the
 :class:`~repro.exec.cache.ResultCache` stays oblivious to how an entry
 was produced (the entry records ``via`` provenance for humans only).
 
-``REPRO_GANG=auto|off`` (default ``auto``) switches the subsystem; the
-CLI's ``report --gang`` flag is the explicit spelling.
+Grouping applies whenever tasks carry a :class:`GangSpec`; the per-task
+path runs every task without one and every defected scenario.  A kernel
+that raises defects its whole group with a :class:`RuntimeWarning`
+naming the kernel and the exception.
 
 Two kernels ship with the library:
 
@@ -56,7 +58,6 @@ import dataclasses
 import hashlib
 import importlib
 import json
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Tuple
 
@@ -67,18 +68,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFECT",
     "EvalError",
-    "GANG_MODES",
     "GangSpec",
     "GangStats",
     "calgrid_key",
     "calgrid_kernel",
     "gang_calgrid",
-    "gang_mode",
     "run_projected",
 ]
-
-#: Recognized ``REPRO_GANG`` values.
-GANG_MODES = ("auto", "off")
 
 
 class _Defect:
@@ -110,18 +106,6 @@ class EvalError:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EvalError {self.exception!r}>"
-
-
-def gang_mode() -> str:
-    """The mode named by ``REPRO_GANG`` (default: ``auto``)."""
-    mode = os.environ.get("REPRO_GANG", "").strip().lower()
-    if not mode:
-        return "auto"
-    if mode not in GANG_MODES:
-        raise ValueError(
-            f"REPRO_GANG must be one of {GANG_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)

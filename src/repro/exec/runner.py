@@ -11,8 +11,9 @@ scheduled.  Execution is:
    GridFTP leg are the same simulation);
 3. **gang grouping** — cache-missed tasks carrying the same
    :class:`~repro.exec.gang.GangSpec` run as one batch through their
-   gang kernel (scenario-axis execution; ``REPRO_GANG=off`` disables);
-   scenarios the kernel defects fall through to step 4 unchanged;
+   gang kernel (scenario-axis execution); scenarios the kernel defects
+   fall through to step 4 unchanged, and a kernel that raises defects
+   its whole group with a :class:`RuntimeWarning`;
 4. **fan-out** — remaining tasks run serially (``jobs=1``, the default:
    determinism-by-default, no pickling, no subprocesses) or on a
    ``ProcessPoolExecutor`` of ``jobs`` workers.  ``REPRO_JOBS`` changes
@@ -37,13 +38,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.exec.cache import CacheStats, ResultCache
-from repro.exec.gang import DEFECT, GANG_MODES, GangStats, gang_mode, resolve_kernel
+from repro.exec.gang import DEFECT, GangStats, resolve_kernel
 from repro.exec.task import SimTask
 
 __all__ = ["ExecContext", "default_jobs", "executor", "get_exec_context",
@@ -86,21 +88,6 @@ class ExecContext:
     cache: Optional[ResultCache] = None
     #: Tasks actually executed (not served from cache) under this context.
     executed: int = 0
-    #: Gang-execution mode override ("auto"/"off"); None defers to the
-    #: ``REPRO_GANG`` environment variable (default: auto).
-    gang: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.gang is not None and self.gang not in GANG_MODES:
-            raise ValueError(
-                f"gang must be one of {GANG_MODES} or None, got {self.gang!r}"
-            )
-
-    @property
-    def gang_enabled(self) -> bool:
-        """Whether gang grouping applies under this context."""
-        mode = self.gang if self.gang is not None else gang_mode()
-        return mode != "off"
 
     @property
     def effective_jobs(self) -> int:
@@ -131,19 +118,18 @@ def get_exec_context() -> ExecContext:
 
 @contextmanager
 def executor(jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
-             cache_dir: Optional[os.PathLike | str] = None,
-             gang: Optional[str] = None) -> Iterator[ExecContext]:
+             cache_dir: Optional[os.PathLike | str] = None
+             ) -> Iterator[ExecContext]:
     """Install an ambient :class:`ExecContext` for the duration of a block.
 
     *jobs* = None defers to ``REPRO_JOBS`` (see :func:`default_jobs`).
     Pass either a ready-made *cache* or a *cache_dir* to enable result
-    caching (neither = no cache).  *gang* overrides ``REPRO_GANG``
-    ("auto"/"off"; None defers to the environment).
+    caching (neither = no cache).
     """
     global _CURRENT
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    ctx = ExecContext(jobs=jobs, cache=cache, gang=gang)
+    ctx = ExecContext(jobs=jobs, cache=cache)
     previous = _CURRENT
     _CURRENT = ctx
     try:
@@ -203,36 +189,38 @@ def run_tasks(tasks: Sequence[SimTask],
     # parallelism is the scenario axis, not worker processes.
     computed: Dict[int, Any] = {}
     ganged: set = set()
-    if ctx.gang_enabled:
-        gangs: Dict[tuple, List[int]] = {}
-        for i in leaders:
-            spec = tasks[i].gang
-            if spec is not None:
-                gangs.setdefault((spec.kernel, spec.key), []).append(i)
-        for (kernel, _key), idxs in gangs.items():
-            if len(idxs) < 2:
-                GangStats.note_solo(len(idxs))
-                continue
-            try:
-                values = resolve_kernel(kernel)([tasks[i] for i in idxs])
-                if len(values) != len(idxs):
-                    raise ValueError(
-                        f"gang kernel {kernel!r} returned {len(values)} "
-                        f"results for {len(idxs)} tasks")
-            except Exception:
-                # A broken kernel must never break the run: defect the
-                # whole group to the per-task path (whose results are
-                # correct by definition) and keep going.
-                values = [DEFECT] * len(idxs)
-            defected = 0
-            for i, value in zip(idxs, values):
-                if value is DEFECT:
-                    defected += 1
-                else:
-                    computed[i] = value
-                    ganged.add(i)
-            GangStats.note_group(ganged=len(idxs) - defected,
-                                 defected=defected)
+    gangs: Dict[tuple, List[int]] = {}
+    for i in leaders:
+        spec = tasks[i].gang
+        if spec is not None:
+            gangs.setdefault((spec.kernel, spec.key), []).append(i)
+    for (kernel, _key), idxs in gangs.items():
+        if len(idxs) < 2:
+            GangStats.note_solo(len(idxs))
+            continue
+        try:
+            values = resolve_kernel(kernel)([tasks[i] for i in idxs])
+            if len(values) != len(idxs):
+                raise ValueError(
+                    f"gang kernel {kernel!r} returned {len(values)} "
+                    f"results for {len(idxs)} tasks")
+        except Exception as exc:
+            # A broken kernel must never break the run: defect the whole
+            # group to the per-task path (whose results are correct by
+            # definition), say why, and keep going.
+            warnings.warn(
+                f"gang kernel {kernel!r} failed ({type(exc).__name__}: "
+                f"{exc}); running its {len(idxs)} scenarios per task",
+                RuntimeWarning, stacklevel=2)
+            values = [DEFECT] * len(idxs)
+        defected = 0
+        for i, value in zip(idxs, values):
+            if value is DEFECT:
+                defected += 1
+            else:
+                computed[i] = value
+                ganged.add(i)
+        GangStats.note_group(ganged=len(idxs) - defected, defected=defected)
 
     remaining = [i for i in leaders if i not in ganged]
     workers = min(ctx.effective_jobs, len(remaining))

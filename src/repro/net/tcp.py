@@ -311,7 +311,7 @@ class TcpConnection:
                     break
                 # flush(): the window controller needs *settled* rates,
                 # including any rebalance the coalescer deferred this
-                # instant (a plain settle under an eager scheduler).
+                # instant.
                 self.ctx.fluid.flush()
                 rate = self.flow.rate
                 wants_more = rate < window_rate * 0.98

@@ -306,13 +306,11 @@ class SimStats:
     counts free-list hits, and ``wall_seconds`` accumulates real time spent
     inside :meth:`Simulator.run`.  ``samples_backfilled`` counts telemetry
     samples materialized analytically by the backfill sampler
-    (:mod:`repro.sim.sampling`) and ``events_skipped`` the heap events
-    those samples would have cost under the per-tick sampler.
+    (:mod:`repro.sim.sampling`).
     """
 
     __slots__ = ("events_scheduled", "events_processed", "heap_peak",
-                 "timeouts_reused", "samples_backfilled", "events_skipped",
-                 "wall_seconds")
+                 "timeouts_reused", "samples_backfilled", "wall_seconds")
 
     def __init__(self) -> None:
         self.events_scheduled = 0
@@ -320,7 +318,6 @@ class SimStats:
         self.heap_peak = 0
         self.timeouts_reused = 0
         self.samples_backfilled = 0
-        self.events_skipped = 0
         self.wall_seconds = 0.0
 
     def as_dict(self) -> dict[str, float]:
@@ -331,7 +328,6 @@ class SimStats:
             "heap_peak": self.heap_peak,
             "timeouts_reused": self.timeouts_reused,
             "samples_backfilled": self.samples_backfilled,
-            "events_skipped": self.events_skipped,
             "wall_seconds": self.wall_seconds,
         }
 

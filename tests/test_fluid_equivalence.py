@@ -1,20 +1,21 @@
-"""Differential suite: the array solver must reproduce the reference.
+"""Differential suite: the fluid solver against the textbook reference.
 
 Each scenario is a randomized (seeded) churn script — flows arriving
 and departing over shared resources, rate caps, capacity shocks,
 open-ended flows stopped mid-flight, zero-capacity and duplicated path
-entries — executed twice, once per solver backend, on independent
-simulators.  The two executions must agree on every observable:
+entries — executed by the production :class:`FluidScheduler` on a
+simulator and replayed by the exact integrator of
+``tests/oracles/fluid.py`` (textbook progressive filling, rates held
+constant between events).  The two must agree on every observable:
 
 * per-flow transferred bytes and completion times (1e-6 relative);
 * per-category charge totals (1e-6 relative);
-* which flows completed at all;
-* :class:`FluidStats` counters (exactly equal, and monotone over time).
+* which flows completed at all.
 
-Scenario sizes straddle ``_VECTOR_MIN_FLOWS`` so both the scalar
+The scheduler's :class:`FluidStats` counters must also be monotone over
+time.  Scenario sizes straddle ``_VECTOR_MIN_FLOWS`` so both the scalar
 dispatch (small components) and the vectorized kernel (large
-components) are exercised; the scenario count (~200) is the churn
-coverage promised in ISSUE 3.
+components) are exercised, over ~200 scenarios.
 """
 
 import math
@@ -25,6 +26,10 @@ import pytest
 from repro.kernel.accounting import CpuAccounting
 from repro.sim import FluidFlow, FluidResource, FluidScheduler, Simulator
 from repro.sim.fluid import _VECTOR_MIN_FLOWS, FluidStats
+from tests.oracles.fluid import replay
+
+#: Simulated horizon every scenario runs to.
+UNTIL = 90.0
 
 N_SCENARIOS = 200
 
@@ -77,10 +82,10 @@ def _random_scenario(rng: random.Random) -> dict:
     return {"capacities": capacities, "flows": flows, "shocks": shocks}
 
 
-def _execute(scenario: dict, solver: str) -> dict:
-    """Run one scenario under one backend; return its observables."""
+def _execute(scenario: dict) -> dict:
+    """Run one scenario on the production scheduler; return observables."""
     sim = Simulator()
-    sched = FluidScheduler(sim, solver=solver)
+    sched = FluidScheduler(sim)
     resources = [FluidResource(sched, c, f"r{i}")
                  for i, c in enumerate(scenario["capacities"])]
     ledger = CpuAccounting("equiv")
@@ -119,7 +124,7 @@ def _execute(scenario: dict, solver: str) -> dict:
             counters_trace.append(sched.stats.as_dict())
 
     sim.process(sampler())
-    sim.run(until=90.0)
+    sim.run(until=UNTIL)
     sched.settle()
     for f in flows:
         if f._active:
@@ -134,6 +139,30 @@ def _execute(scenario: dict, solver: str) -> dict:
     }
 
 
+def _reference(scenario: dict) -> dict:
+    """Replay the same scenario through the textbook oracle."""
+    flows, script = [], []
+    for i, (start, size, stop_after, path, cap, _charge) in enumerate(
+            scenario["flows"]):
+        flows.append((path, size, cap))
+        script.append((start, "start", i, None))
+        if stop_after is not None:
+            script.append((start + stop_after, "stop", i, None))
+    for when, idx, new_cap in scenario["shocks"]:
+        script.append((when, "capacity", idx, new_cap))
+    capacity = dict(enumerate(scenario["capacities"]))
+    out = replay(capacity, flows, script, until=UNTIL)
+    charges = {}
+    for (_s, _z, _a, _p, _c, (cat, per_byte)), moved in zip(
+            scenario["flows"], out["transferred"]):
+        charges[cat] = charges.get(cat, 0.0) + moved * per_byte
+    # Every flow is started and then finished (completed, stopped, or
+    # stopped at the horizon), so every ``done`` event triggers.
+    out["completed"] = [t is not None for t in out["finished_at"]]
+    out["charges"] = charges
+    return out
+
+
 def _close(a, b, rel=1e-6):
     if a is None or b is None:
         return a is b
@@ -143,40 +172,38 @@ def _close(a, b, rel=1e-6):
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))
 def test_solvers_agree(seed):
     scenario = _random_scenario(random.Random(900_000 + seed))
-    ref = _execute(scenario, "python")
-    arr = _execute(scenario, "array")
+    ref = _reference(scenario)
+    got = _execute(scenario)
 
-    for i, (a, b) in enumerate(zip(ref["transferred"], arr["transferred"])):
+    for i, (a, b) in enumerate(zip(ref["transferred"], got["transferred"])):
         assert _close(a, b), (
-            f"seed {seed} flow {i}: transferred python={a!r} array={b!r}"
+            f"seed {seed} flow {i}: transferred oracle={a!r} solver={b!r}"
         )
-    for i, (a, b) in enumerate(zip(ref["finished_at"], arr["finished_at"])):
+    for i, (a, b) in enumerate(zip(ref["finished_at"], got["finished_at"])):
         assert _close(a, b), (
-            f"seed {seed} flow {i}: finished_at python={a!r} array={b!r}"
+            f"seed {seed} flow {i}: finished_at oracle={a!r} solver={b!r}"
         )
-    assert ref["completed"] == arr["completed"]
+    assert ref["completed"] == got["completed"]
 
-    assert set(ref["charges"]) == set(arr["charges"])
+    assert set(ref["charges"]) == set(got["charges"])
     for cat, total in ref["charges"].items():
-        assert _close(total, arr["charges"][cat]), (
-            f"seed {seed} charge {cat}: python={total!r} "
-            f"array={arr['charges'][cat]!r}"
+        assert _close(total, got["charges"][cat]), (
+            f"seed {seed} charge {cat}: oracle={total!r} "
+            f"solver={got['charges'][cat]!r}"
         )
 
-    # Counters: identical across backends (same rebalance cadence) ...
-    assert ref["stats"] == arr["stats"], f"seed {seed}: stats diverged"
-    # ... and monotone over simulated time within each backend.
-    for trace in (ref["stats_trace"], arr["stats_trace"]):
-        for earlier, later in zip(trace, trace[1:]):
-            for key, value in earlier.items():
-                assert later[key] >= value, f"seed {seed}: {key} decreased"
+    # Counters are monotone over simulated time.
+    trace = got["stats_trace"]
+    for earlier, later in zip(trace, trace[1:]):
+        for key, value in earlier.items():
+            assert later[key] >= value, f"seed {seed}: {key} decreased"
 
 
 def test_process_totals_accumulate():
     """Class-level totals advance in step with instance counters."""
     before = FluidStats.process_totals()
     scenario = _random_scenario(random.Random(123456))
-    result = _execute(scenario, "array")
+    result = _execute(scenario)
     after = FluidStats.process_totals()
     assert after["rebalances"] - before["rebalances"] >= (
         result["stats"]["rebalances"]

@@ -1,23 +1,27 @@
 """Gang execution: grouping, defection, cache identity, projection dedup.
 
-The contract under test mirrors the executor's: ``REPRO_GANG`` changes
-*how* a grid computes — one batched scenario program vs one task at a
-time — never what it computes.  Gang and per-task runs must be
-indistinguishable down to the bytes of the assembled report, gang
-membership must be invisible to the result cache, and anything a kernel
-cannot batch exactly (ambient faults, broken kernels, singleton groups)
-must defect to the per-task path with zero behavior change.
+The contract under test mirrors the executor's: a task's
+:class:`GangSpec` changes *how* a grid computes — one batched scenario
+program vs one task at a time — never what it computes.  The reference
+arm is the same tasks with ``gang=None`` (the per-task path).  Gang and
+per-task runs must be indistinguishable down to the bytes of the
+assembled report, gang membership must be invisible to the result
+cache, and anything a kernel cannot batch exactly (ambient faults,
+broken kernels, singleton groups) must defect to the per-task path with
+zero behavior change.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.core.calibration import CALIBRATION, tracking_calibration
 from repro.core.experiments import ext_sensitivity
-from repro.core.sensitivity import gang_cells, run_sensitivity, sensitivity_tasks
+from repro.core.sensitivity import (assemble_sensitivity, gang_cells,
+                                    run_sensitivity, sensitivity_tasks)
 from repro.exec import (
     DEFECT,
     ExecContext,
@@ -25,9 +29,7 @@ from repro.exec import (
     GangStats,
     ResultCache,
     SimTask,
-    executor,
     gang_calgrid,
-    gang_mode,
     run_tasks,
 )
 from repro.exec.gang import EvalError, run_projected
@@ -47,6 +49,11 @@ def _gang_delta(fn):
     return out, {k: after[k] - before[k] for k in after}
 
 
+def _per_task(tasks):
+    """*tasks* without gang metadata: the per-task reference arm."""
+    return [dataclasses.replace(t, gang=None) for t in tasks]
+
+
 def _calgrid_tasks(n=4, factor=2.0):
     """n gang-eligible tasks differing only in calibration."""
     return [
@@ -61,9 +68,8 @@ def _calgrid_tasks(n=4, factor=2.0):
 
 def test_calgrid_gang_matches_per_task_bitwise():
     tasks = _calgrid_tasks(5)
-    with executor(gang="off"):
-        solo = run_tasks(tasks)
-    (ganged, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext(gang="auto")))
+    solo = run_tasks(_per_task(tasks))
+    (ganged, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext()))
     assert ganged == solo == [t.execute() for t in tasks]
     assert delta["scenarios_ganged"] == 5
     assert delta["scenarios_defected"] == 0
@@ -73,7 +79,7 @@ def test_calgrid_gang_matches_per_task_bitwise():
 def test_singleton_group_runs_solo():
     tasks = _calgrid_tasks(1)
     (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
+        lambda: run_tasks(tasks, ExecContext()))
     assert results == [tasks[0].execute()]
     assert delta["scenarios_solo"] == 1
     assert delta["scenarios_ganged"] == 0
@@ -84,7 +90,7 @@ def test_ambient_fault_plan_defects_whole_group(monkeypatch):
     monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5,duration=2")
     tasks = _calgrid_tasks(4)
     (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
+        lambda: run_tasks(tasks, ExecContext()))
     assert results == [t.execute() for t in tasks]
     assert delta["scenarios_defected"] == 4
     assert delta["scenarios_ganged"] == 0
@@ -104,35 +110,33 @@ def short_kernel(tasks):
     return [DEFECT] * (len(tasks) - 1)
 
 
-@pytest.mark.parametrize("kernel", ["broken_kernel", "short_kernel"])
-def test_broken_kernel_defects_instead_of_breaking(kernel):
+@pytest.mark.parametrize("kernel, error", [
+    pytest.param("broken_kernel", "RuntimeError: kernel exploded",
+                 id="broken_kernel"),
+    pytest.param("short_kernel", "ValueError: gang kernel", id="short_kernel"),
+])
+def test_broken_kernel_defects_instead_of_breaking(kernel, error):
     spec = GangSpec(kernel=f"tests.test_gang_exec:{kernel}", key="k")
     tasks = [SimTask("tests.test_gang_exec:scale_leg", {"factor": float(1 + i)},
                      seed=i, cal=CALIBRATION, gang=spec) for i in range(3)]
-    (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
-    assert results == [t.execute() for t in tasks]
-    assert delta["scenarios_defected"] == 3
-    assert delta["scenarios_ganged"] == 0
+    per_task = run_tasks(_per_task(tasks), ExecContext())
+    with pytest.warns(RuntimeWarning) as caught:
+        (results, delta) = _gang_delta(
+            lambda: run_tasks(tasks, ExecContext()))
+    assert results == per_task
+    # The fallback is never silent: one warning names kernel and error.
+    (warning,) = caught
+    assert f"tests.test_gang_exec:{kernel}" in str(warning.message)
+    assert error in str(warning.message)
+    assert delta == {"scenarios_ganged": 0, "scenarios_defected": 3,
+                     "scenarios_solo": 0, "groups": 1}
 
 
-def test_gang_off_never_invokes_kernel(monkeypatch):
-    tasks = _calgrid_tasks(3)
-    (_, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext(gang="off")))
-    assert all(v == 0 for v in delta.values())
-    monkeypatch.setenv("REPRO_GANG", "off")
+def test_gang_off_never_invokes_kernel():
+    # Without a GangSpec every task takes the per-task path.
+    tasks = _per_task(_calgrid_tasks(3))
     (_, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext()))
     assert all(v == 0 for v in delta.values())
-
-
-def test_gang_mode_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_GANG", "sideways")
-    with pytest.raises(ValueError, match="REPRO_GANG"):
-        gang_mode()
-    with pytest.raises(ValueError, match="gang"):
-        ExecContext(gang="sideways")
-    monkeypatch.setenv("REPRO_GANG", "off")
-    assert ExecContext(gang="auto").gang_enabled  # override beats the env
 
 
 # -- cache identity ---------------------------------------------------------
@@ -149,12 +153,11 @@ def test_partially_cached_grid_gangs_only_the_misses(tmp_path):
     tasks = _calgrid_tasks(6)
     cache = ResultCache(tmp_path / "cache")
     # Warm the cache with two scenarios run solo (no gang metadata).
-    with executor(cache=cache, gang="off"):
-        warm = run_tasks([t for t in tasks[:2]])
+    warm = run_tasks(_per_task(tasks[:2]), ExecContext(cache=cache))
     assert cache.stats.stores == 2
 
     (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(cache=cache, gang="auto")))
+        lambda: run_tasks(tasks, ExecContext(cache=cache)))
     assert results[:2] == warm
     assert results == [t.execute() for t in tasks]
     assert cache.stats.hits == 2
@@ -165,7 +168,7 @@ def test_partially_cached_grid_gangs_only_the_misses(tmp_path):
 def test_cache_entry_records_gang_provenance(tmp_path):
     tasks = _calgrid_tasks(2)
     cache = ResultCache(tmp_path / "cache")
-    run_tasks(tasks, ExecContext(cache=cache, gang="auto"))
+    run_tasks(tasks, ExecContext(cache=cache))
     path = cache._path(cache.key_for(tasks[0]))
     assert pickle.loads(path.read_bytes())["via"] == "gang"
     # Provenance is informational: the solo path replays the entry.
@@ -235,8 +238,8 @@ def test_replace_on_tracked_calibration_marks_carried_fields():
 
 def test_sensitivity_grid_gang_matches_per_task():
     constants = ("qpi_bandwidth", "memcpy_rate_local")
-    with executor(gang="off"):
-        solo = run_sensitivity(constants=constants)
+    tasks = sensitivity_tasks(constants=constants)
+    solo = assemble_sensitivity(tasks, run_tasks(_per_task(tasks)))
     (ganged, delta) = _gang_delta(lambda: run_sensitivity(constants=constants))
     assert ganged.outcomes == solo.outcomes
     assert delta["scenarios_ganged"] == 4
@@ -244,10 +247,9 @@ def test_sensitivity_grid_gang_matches_per_task():
 
 
 def test_ext_sensitivity_report_byte_identical_gang_vs_off():
-    with executor(gang="off"):
-        off = ext_sensitivity.run(quick=True).render()
-    with executor(gang="auto"):
-        auto = ext_sensitivity.run(quick=True).render()
+    tasks = _per_task(ext_sensitivity.plan(quick=True))
+    off = ext_sensitivity.assemble(run_tasks(tasks), quick=True).render()
+    auto = ext_sensitivity.run(quick=True).render()
     assert auto == off
 
 

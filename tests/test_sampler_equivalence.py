@@ -1,14 +1,13 @@
 """Differential suite: the backfill sampler against the per-tick reference.
 
 Every fluid-driven series (throughput, CPU accounting, resource
-utilization) must agree between ``REPRO_SAMPLER=event`` and
-``REPRO_SAMPLER=backfill`` to 1e-6 across application scenarios
-(RFTP / GridFTP / iSER), because the backfill backend only replaces
+utilization) must agree between the backfill sampler and the per-tick
+reference of ``tests/oracles/sampling.py`` to 1e-6 across application
+scenarios (RFTP / GridFTP / iSER), because backfill only replaces
 *when* the piecewise-linear counters are read, never the dynamics.
 
 Also covers the array-backed ``TimeSeries.record_many`` bulk append
-(monotonic-time enforcement, summary helpers) and the result-cache
-identity (cache entries must not replay across sampler backends).
+(monotonic-time enforcement, summary helpers).
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 
 from repro.core.system import EndToEndSystem
 from repro.core.tuning import TuningPolicy
-from repro.exec.task import SimTask
 from repro.kernel.monitor import HostMonitor
 from repro.sim import (
     FluidFlow,
@@ -25,11 +23,10 @@ from repro.sim import (
     Simulator,
     ThroughputProbe,
     TimeSeries,
-    default_sampler,
     hub_for,
 )
-from repro.sim.context import Context
 from repro.util.units import GB, MIB
+from tests.oracles.sampling import per_tick_sampling
 
 TOL = 1e-6
 
@@ -51,13 +48,11 @@ def assert_accounting_match(a, b) -> None:
         assert da[k] == pytest.approx(db[k], rel=TOL, abs=TOL), k
 
 
-def per_sampler(monkeypatch, fn):
-    """Run *fn()* under each backend; returns (event_result, backfill_result)."""
-    out = {}
-    for backend in ("event", "backfill"):
-        monkeypatch.setenv("REPRO_SAMPLER", backend)
-        out[backend] = fn()
-    return out["event"], out["backfill"]
+def per_sampler(fn):
+    """Run *fn()* per tick, then backfilled; returns (tick, backfill)."""
+    with per_tick_sampling():
+        tick = fn()
+    return tick, fn()
 
 
 # --- direct probe scenarios ----------------------------------------------------
@@ -69,7 +64,7 @@ def _throttled_flow_run():
     link = FluidResource(sched, 100.0, "link")
     flow = FluidFlow([(link, 1.0)], size=None, name="f")
     probe = ThroughputProbe(sim, lambda: flow.transferred, interval=1.0,
-                            name="tp", pre_sample=sched.settle)
+                            name="tp")
     sched.start(flow)
 
     def driver():
@@ -88,9 +83,9 @@ def _throttled_flow_run():
     return series, flow.transferred, sim.stats
 
 
-def test_probe_agrees_across_rate_epochs(monkeypatch):
+def test_probe_agrees_across_rate_epochs():
     (s_ev, total_ev, st_ev), (s_bf, total_bf, st_bf) = per_sampler(
-        monkeypatch, _throttled_flow_run)
+        _throttled_flow_run)
     assert_series_match(s_ev, s_bf)
     assert total_ev == pytest.approx(total_bf, rel=TOL)
     # the backfill leg materialized its samples without heap events
@@ -99,9 +94,8 @@ def test_probe_agrees_across_rate_epochs(monkeypatch):
     assert st_bf.events_processed < st_ev.events_processed
 
 
-def test_probe_samples_between_epochs_are_linear(monkeypatch):
+def test_probe_samples_between_epochs_are_linear():
     """Within one epoch the backfilled rates equal the constant fluid rate."""
-    monkeypatch.setenv("REPRO_SAMPLER", "backfill")
     series, total, _ = _throttled_flow_run()
     # epochs at 4.5 / 7.75 / 12.0; rates 100 / 50 / 200
     values = dict(zip(series.times, series.values))
@@ -117,7 +111,7 @@ def test_probe_samples_between_epochs_are_linear(monkeypatch):
 # --- application scenarios -----------------------------------------------------
 
 
-def test_rftp_wan_cell_agrees(monkeypatch):
+def test_rftp_wan_cell_agrees():
     from repro.core.experiments.exp_fig13_wan_bw import sweep
 
     def run():
@@ -125,7 +119,7 @@ def test_rftp_wan_cell_agrees(monkeypatch):
                      stream_counts=(2,))
         return grid[(4 * MIB, 2)]
 
-    ev, bf = per_sampler(monkeypatch, run)
+    ev, bf = per_sampler(run)
     assert ev.total_bytes == pytest.approx(bf.total_bytes, rel=TOL)
     assert_series_match(ev.series, bf.series)
     assert_accounting_match(ev.sender_accounting, bf.sender_accounting)
@@ -136,13 +130,13 @@ def test_rftp_wan_cell_agrees(monkeypatch):
             bf.per_link_bytes[k], rel=TOL)
 
 
-def test_gridftp_run_agrees(monkeypatch):
+def test_gridftp_run_agrees():
     def run():
         system = EndToEndSystem.lan_testbed(
             TuningPolicy.numa_bound(), seed=7, lun_size=2 * GB)
         return system.run_gridftp_transfer(duration=10.0)
 
-    ev, bf = per_sampler(monkeypatch, run)
+    ev, bf = per_sampler(run)
     assert ev.total_bytes == pytest.approx(bf.total_bytes, rel=TOL)
     assert_series_match(ev.series, bf.series)
     assert ev.sender_cpu.by_category.keys() == bf.sender_cpu.by_category.keys()
@@ -150,7 +144,7 @@ def test_gridftp_run_agrees(monkeypatch):
         assert v == pytest.approx(bf.sender_cpu.by_category[k], rel=TOL, abs=TOL)
 
 
-def test_iser_fio_with_host_monitor_agrees(monkeypatch):
+def test_iser_fio_with_host_monitor_agrees():
     from repro.apps.fio import FioJob, run_fio
     from repro.core.experiments.exp_fig07_iser_bw import _build
 
@@ -164,7 +158,7 @@ def test_iser_fio_with_host_monitor_agrees(monkeypatch):
         monitor.stop()
         return res, monitor
 
-    (res_ev, mon_ev), (res_bf, mon_bf) = per_sampler(monkeypatch, run)
+    (res_ev, mon_ev), (res_bf, mon_bf) = per_sampler(run)
     assert res_ev.total_bytes == pytest.approx(res_bf.total_bytes, rel=TOL)
     assert_accounting_match(res_ev.accounting, res_bf.accounting)
     for n in mon_ev.cpu:
@@ -227,16 +221,6 @@ def test_record_many_validates_shape_and_allows_empty():
 # --- sampler plumbing ----------------------------------------------------------
 
 
-def test_default_sampler_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SAMPLER", raising=False)
-    assert default_sampler() == "backfill"
-    monkeypatch.setenv("REPRO_SAMPLER", "event")
-    assert default_sampler() == "event"
-    monkeypatch.setenv("REPRO_SAMPLER", "bogus")
-    with pytest.raises(ValueError, match="REPRO_SAMPLER"):
-        default_sampler()
-
-
 def test_channel_validation():
     sim = Simulator()
     hub = hub_for(sim)
@@ -246,30 +230,13 @@ def test_channel_validation():
         hub.channel(lambda: 0.0, 0.0, series)
     with pytest.raises(ValueError, match="kind"):
         hub.channel(lambda: 0.0, 1.0, series, kind="histogram")
-    with pytest.raises(ValueError, match="mode"):
-        hub.channel(lambda: 0.0, 1.0, series, mode="lazy")
 
 
-def test_probe_stop_is_idempotent(monkeypatch):
-    for backend in ("event", "backfill"):
-        monkeypatch.setenv("REPRO_SAMPLER", backend)
-        sim = Simulator()
-        probe = ThroughputProbe(sim, lambda: 0.0, interval=1.0)
-        assert probe.sampler == backend
-        sim.run(until=3.0)
-        first = probe.stop()
-        again = probe.stop()
-        assert first is again
-        assert len(first) == 3
-
-
-def test_sampler_backend_is_part_of_cache_identity(monkeypatch):
-    task = SimTask(target="repro.core.experiments.exp_fig13_wan_bw:run",
-                   params={"quick": True}, seed=0)
-    monkeypatch.setenv("REPRO_SAMPLER", "backfill")
-    id_bf, key_bf = task.identity(), task.cache_key("fp")
-    monkeypatch.setenv("REPRO_SAMPLER", "event")
-    id_ev, key_ev = task.identity(), task.cache_key("fp")
-    assert '"sampler":"backfill"' in id_bf
-    assert '"sampler":"event"' in id_ev
-    assert key_bf != key_ev
+def test_probe_stop_is_idempotent():
+    sim = Simulator()
+    probe = ThroughputProbe(sim, lambda: 0.0, interval=1.0)
+    sim.run(until=3.0)
+    first = probe.stop()
+    again = probe.stop()
+    assert first is again
+    assert len(first) == 3

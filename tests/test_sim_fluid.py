@@ -367,11 +367,11 @@ def test_conservation_of_bytes(n_flows, capacity):
 
 
 def _wide_component(first, second):
-    """40 uncapped flows over 4 shared resources (one array-solver
+    """40 uncapped flows over 4 shared resources (one vectorized
     component); *first* then *second* get new capacities at one instant."""
     rng = np.random.default_rng(3)
     sim = Simulator()
-    sched = FluidScheduler(sim, solver="array")
+    sched = FluidScheduler(sim)
     res = [FluidResource(sched, float(rng.uniform(1e9, 3e9)), f"r{i}")
            for i in range(4)]
     flows = []
@@ -398,7 +398,7 @@ def test_whole_graph_allocation_does_not_depend_on_discovery_order():
 
 def test_incidence_rows_are_built_only_by_array_allocations():
     sim = Simulator()
-    sched = FluidScheduler(sim, solver="array")
+    sched = FluidScheduler(sim)
     flows = [FluidFlow([(FluidResource(sched, 1e9), 1.0)], size=1e6)
              for _ in range(20)]
     for flow in flows:  # one-flow allocations only

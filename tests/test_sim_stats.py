@@ -22,6 +22,7 @@ from repro.sim import (
 from repro.sim.context import Context
 from repro.sim.engine import SimulationError
 from repro.sim.trace import TraceLog
+from tests.oracles.churn import eager_churn
 
 
 # --- SimStats ------------------------------------------------------------------
@@ -36,7 +37,6 @@ def test_stats_start_at_zero():
         "heap_peak": 0,
         "timeouts_reused": 0,
         "samples_backfilled": 0,
-        "events_skipped": 0,
         "wall_seconds": 0.0,
     }
 
@@ -142,21 +142,23 @@ def test_pooled_timeout_still_validates_delay():
 
 
 def test_fluid_stats_count_skipped_components():
-    # eager mode: each transition rebalances immediately, so the per-call
-    # recompute/skip deltas below are observable.
+    # eager churn: each transition rebalances immediately, so the
+    # per-call recompute/skip deltas below are observable.
     sim = Simulator()
-    sched = FluidScheduler(sim, churn="eager")
+    sched = FluidScheduler(sim)
     ra = FluidResource(sched, 100.0, "ra")
     rb = FluidResource(sched, 200.0, "rb")
     fa = FluidFlow([(ra, 1.0)], size=None, cap=None, name="fa")
     fb = FluidFlow([(rb, 1.0)], size=None, cap=None, name="fb")
-    sched.start(fa)
-    sched.start(fb)
-    recomputed = sched.stats.flows_recomputed
-    skipped = sched.stats.flows_skipped
+    with eager_churn():
+        sched.start(fa)
+        sched.start(fb)
+        recomputed = sched.stats.flows_recomputed
+        skipped = sched.stats.flows_skipped
 
-    # capping fa touches only ra's component; fb's cached rate is reused
-    sched.set_cap(fa, 10.0)
+        # capping fa touches only ra's component; fb's cached rate is
+        # reused
+        sched.set_cap(fa, 10.0)
     assert sched.stats.flows_recomputed == recomputed + 1
     assert sched.stats.flows_skipped == skipped + 1
     assert fa.rate == pytest.approx(10.0)
