@@ -1,7 +1,7 @@
 """Extension E2 benchmark: the sensitivity grid, gang vs per-task.
 
-The ±20% perturbation grid is the library's densest sweep and the gang
-subsystem's flagship workload: every cell shares the grid's structure
+The ±20% perturbation grid is the library's densest sweep and the only
+workload gang execution batches: every cell shares the grid's structure
 and differs only in one calibration constant, so the planned tasks
 batch the whole grid through the sensitivity gang kernel
 (:func:`repro.core.sensitivity.gang_cells`), while the same tasks with
@@ -40,8 +40,7 @@ def _min_speedup(quick: bool) -> float:
     (that is what makes it a good smoke), so almost every leg re-runs
     and the honest quick floor is only "not slower"; the full grid adds
     the narrowly-read constants and the dedup win shows (~1.7x measured,
-    floored conservatively — CI machines are noisy).  The batched-solver
-    tier itself is gated at 5x by bench_gang_solver.
+    floored conservatively — CI machines are noisy).
     """
     default = "0.90" if quick else "1.25"
     return float(os.environ.get("REPRO_GANG_BENCH_MIN_SPEEDUP", default))

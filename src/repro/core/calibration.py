@@ -242,7 +242,8 @@ _FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(Calibration))
 class TrackingCalibration(Calibration):
     """A :class:`Calibration` that records which constants are read.
 
-    Used by gang execution (:mod:`repro.exec.gang`) to learn the exact
+    Used by the sensitivity grid's projection memo
+    (:func:`repro.core.sensitivity.run_projected`) to learn the exact
     read-set of one scenario evaluation: any simulation whose
     calibration agrees on every *recorded* field is guaranteed to take
     the identical execution path, so its result can be shared without

@@ -12,7 +12,7 @@ from repro.apps.iperf import run_iperf
 from repro.apps.rftp.transfer import RftpConfig, RftpTransfer
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
-from repro.exec import SimTask, gang_calgrid, run_tasks
+from repro.exec import SimTask, run_tasks
 from repro.hw.nic import Nic, NicKind
 from repro.hw.topology import Machine
 from repro.net.link import connect
@@ -54,17 +54,17 @@ def iperf_leg(*, seed: int, cal: Calibration | None, mtu: int,
 
 def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
         ) -> list[SimTask]:
-    """Both tools at both MTUs: four independent, gang-eligible legs."""
+    """Both tools at both MTUs: four independent legs."""
     duration = 15.0 if quick else 120.0
     module = "repro.core.experiments.ablation_mtu"
     tasks = []
     for mtu in (1500, 9000):
-        tasks.append(gang_calgrid(SimTask(
+        tasks.append(SimTask(
             f"{module}:rftp_leg", {"mtu": mtu, "duration": duration},
-            seed=seed, cal=cal, label=f"A7 RFTP mtu={mtu}")))
-        tasks.append(gang_calgrid(SimTask(
+            seed=seed, cal=cal, label=f"A7 RFTP mtu={mtu}"))
+        tasks.append(SimTask(
             f"{module}:iperf_leg", {"mtu": mtu, "duration": duration},
-            seed=seed + 1, cal=cal, label=f"A7 iperf mtu={mtu}")))
+            seed=seed + 1, cal=cal, label=f"A7 iperf mtu={mtu}"))
     return tasks
 
 

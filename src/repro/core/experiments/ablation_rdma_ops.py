@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
-from repro.exec import SimTask, gang_calgrid, run_tasks
+from repro.exec import SimTask, run_tasks
 from repro.hw.nic import Nic, NicKind
 from repro.hw.topology import Machine
 from repro.kernel.numa import NumaPolicy
@@ -52,13 +52,13 @@ def measure_leg(*, seed: int, cal: Calibration | None, opcode: str) -> float:
 
 def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
         ) -> list[SimTask]:
-    """The two opcode measurements as independent, gang-eligible legs."""
+    """The two opcode measurements as independent legs."""
     target = "repro.core.experiments.ablation_rdma_ops:measure_leg"
     return [
-        gang_calgrid(SimTask(target, {"opcode": "RDMA_WRITE"}, seed=seed,
-                             cal=cal, label="A4 RDMA WRITE")),
-        gang_calgrid(SimTask(target, {"opcode": "RDMA_READ"}, seed=seed + 1,
-                             cal=cal, label="A4 RDMA READ")),
+        SimTask(target, {"opcode": "RDMA_WRITE"}, seed=seed, cal=cal,
+                label="A4 RDMA WRITE"),
+        SimTask(target, {"opcode": "RDMA_READ"}, seed=seed + 1, cal=cal,
+                label="A4 RDMA READ"),
     ]
 
 

@@ -17,7 +17,7 @@ from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.core.system import EndToEndSystem
 from repro.core.tuning import TuningPolicy
-from repro.exec import SimTask, gang_calgrid, run_tasks
+from repro.exec import SimTask, run_tasks
 from repro.util.units import GB, to_gbps
 
 __all__ = ["run", "plan", "assemble", "tuned_leg"]
@@ -44,13 +44,13 @@ def tuned_leg(*, seed: int, cal: Calibration | None, config: str,
 
 def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
         ) -> list[SimTask]:
-    """The four tuning configurations as independent, gang-eligible legs."""
+    """The four tuning configurations as independent legs."""
     duration = 20.0 if quick else 300.0
     return [
-        gang_calgrid(SimTask(
+        SimTask(
             "repro.core.experiments.ablation_tuning_value:tuned_leg",
             {"config": label, "duration": duration},
-            seed=seed + i, cal=cal, label=f"A12 {label}"))
+            seed=seed + i, cal=cal, label=f"A12 {label}")
         for i, (label, _policy) in enumerate(CONFIGS)
     ]
 

@@ -19,11 +19,11 @@ each (the four fio runs behind Fig. 7, the RFTP and GridFTP transfers
 behind Fig. 9, and so on) — and a shape predicate is a pure combiner
 over its legs' measurements.  The per-cell path runs a cell's legs
 directly; the grid's gang kernel (:func:`gang_cells`) runs every leg
-across *all* cells at once through
-:func:`repro.exec.gang.run_projected`, sharing evaluations between
-cells whose perturbed calibrations agree on everything the leg actually
-reads.  Both paths execute the identical leg code with identical
-calibration values, so their results are bit-for-bit equal.
+across *all* cells at once through the projection memo
+:func:`run_projected`, sharing evaluations between cells whose
+perturbed calibrations agree on everything the leg actually reads.
+Both paths execute the identical leg code with identical calibration
+values, so their results are bit-for-bit equal.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.calibration import CALIBRATION, Calibration
-from repro.exec import GangSpec, SimTask, run_tasks
+from repro.core.calibration import CALIBRATION, Calibration, tracking_calibration
+from repro.exec import DEFECT, GangSpec, SimTask, run_tasks
 from repro.exec.task import _canonical
 from repro.util.tables import Table
 
 __all__ = ["SHAPES", "PERTURBED_CONSTANTS", "SensitivityResult",
            "run_sensitivity", "sensitivity_cell", "sensitivity_tasks",
-           "assemble_sensitivity", "gang_cells"]
+           "assemble_sensitivity", "gang_cells", "run_projected",
+           "EvalError"]
 
 #: the constants whose values were calibrated (not taken from specs).
 PERTURBED_CONSTANTS = (
@@ -281,24 +282,90 @@ def sensitivity_cell(*, seed: int = 0, cal: Optional[Calibration] = None,
     return {name: predicate(perturbed) for name, predicate in SHAPES.items()}
 
 
+class EvalError:
+    """A scenario evaluation that raised; carried as a value, not raised.
+
+    :func:`run_projected` stores one of these in the failing scenario's
+    slot so sibling scenarios still batch; :func:`gang_cells` turns it
+    into :data:`~repro.exec.gang.DEFECT` and the per-task path re-runs
+    (and re-raises) it.
+    """
+
+    __slots__ = ("exception",)
+
+    def __init__(self, exception: BaseException) -> None:
+        self.exception = exception
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<EvalError {self.exception!r}>"
+
+
+def run_projected(fn: Callable[[Calibration], Any],
+                  cals: Sequence[Calibration]) -> List[Any]:
+    """Evaluate ``fn(cal)`` for every scenario, sharing provably equal runs.
+
+    The first time a calibration with a new *projection* appears, ``fn``
+    runs with a read-tracking calibration that records exactly which
+    constants the evaluation read.  Every later scenario whose
+    calibration agrees on **all** of those constants shares the stored
+    result without re-running.
+
+    Why that is sound (bitwise, not approximately): ``fn`` is a
+    deterministic function whose only scenario-dependent input is the
+    calibration, and it observes the calibration exclusively through
+    attribute reads (the tracking subclass intercepts every field
+    access, including those made by ``replace``/``asdict``, which read
+    every field and thus conservatively mark everything).  Replaying the
+    recorded execution with a calibration that returns identical values
+    for every recorded read reproduces, by induction over the reads in
+    program order, the identical branch decisions, identical subsequent
+    reads and identical arithmetic — hence the identical result.
+
+    A scenario whose evaluation raises gets an :class:`EvalError` in its
+    slot (and no projection class, so an identical later calibration
+    re-runs and re-fails rather than silently sharing a failure).
+    """
+    classes: List[Tuple[Tuple[str, ...], Tuple[Any, ...], Any]] = []
+    out: List[Any] = []
+    for cal in cals:
+        for reads, projection, value in classes:
+            if tuple(getattr(cal, name) for name in reads) == projection:
+                out.append(value)
+                break
+        else:
+            reads_sink: set = set()
+            try:
+                value = fn(tracking_calibration(cal, reads_sink))
+            except Exception as exc:
+                out.append(EvalError(exc))
+                continue
+            reads = tuple(sorted(reads_sink))
+            classes.append(
+                (reads, tuple(getattr(cal, name) for name in reads), value)
+            )
+            out.append(value)
+    return out
+
+
 def gang_cells(tasks: Sequence[SimTask]) -> List[Any]:
     """Gang kernel for the sensitivity grid: all cells in one program.
 
     Runs every shape leg across the whole scenario axis through
-    :func:`~repro.exec.gang.run_projected`: one evaluation per
-    *projection class* (cells whose perturbed calibrations agree on
-    every constant the leg reads share it — e.g. perturbing
-    ``tcp_kernel_rate`` cannot change a leg that never reads it, so
-    that leg's base-calibration run serves 13 of the 17 grid+base
-    scenarios).  Results are bit-identical to :func:`sensitivity_cell`
-    because the identical leg code runs with identical values.
+    :func:`run_projected`: one evaluation per *projection class* (cells
+    whose perturbed calibrations agree on every constant the leg reads
+    share it — e.g. perturbing ``tcp_kernel_rate`` cannot change a leg
+    that never reads it).  The report's grid hands this kernel its
+    cells only, no base scenario: 10 in quick mode and 16 in full mode,
+    which cost 83 of 100 and 119 of 160 leg evaluations (the Fig. 4
+    RDMA leg runs 5 and 7 times).  Results are bit-identical to
+    :func:`sensitivity_cell` because the identical leg code runs with
+    identical values.
 
     Defection: an ambient fault plan defects every cell (fault arming
     couples scenarios to event order — the per-task path owns that);
     a cell whose leg evaluation raises defects alone so the error
     surfaces with its ordinary traceback.
     """
-    from repro.exec.gang import DEFECT, EvalError
     from repro.faults.plan import ambient_spec
 
     if ambient_spec():
@@ -309,7 +376,7 @@ def gang_cells(tasks: Sequence[SimTask]) -> List[Any]:
         cals.append(_perturbed(base, task.params["constant"],
                                task.params["direction"],
                                task.params["delta"]))
-    leg_values = {name: run_projected_leg(fn, cals)
+    leg_values = {name: run_projected(fn, cals)
                   for name, fn in _LEGS.items()}
     rows: List[Any] = []
     for k in range(len(tasks)):
@@ -323,14 +390,6 @@ def gang_cells(tasks: Sequence[SimTask]) -> List[Any]:
             row[shape] = combine(vals)
         rows.append(DEFECT if failed else row)
     return rows
-
-
-def run_projected_leg(fn: Callable[[Calibration], Any],
-                      cals: Sequence[Calibration]) -> List[Any]:
-    """One leg across all scenarios (separated for monkeypatching in tests)."""
-    from repro.exec.gang import run_projected
-
-    return run_projected(fn, cals)
 
 
 def sensitivity_tasks(

@@ -10,18 +10,18 @@ parallel and cache-served runs produce byte-identical reports.
 Results are cached on disk by content address: a SHA-256 over the
 task's target, parameters, seed, every
 :class:`~repro.core.calibration.Calibration` field, and a fingerprint of
-the library's own source.  Dense scenario sweeps additionally opt into
-**gang execution** (:mod:`repro.exec.gang`): tasks sharing a
-:class:`~repro.exec.gang.GangSpec` run as one batched scenario program,
-with per-scenario defection back to the ordinary path whenever batching
-cannot be exact.  See ``README.md`` ("Parallel runner & result cache")
-and ``docs/MODELING.md`` (seed discipline, §11 gang semantics) for the
-invariants that make this safe.
+the library's own source.  The sensitivity grid additionally opts into
+**gang execution** (:mod:`repro.exec.gang`): its cells share a
+:class:`~repro.exec.gang.GangSpec` and run as one batch through the
+grid's kernel, with per-scenario defection back to the ordinary path
+whenever batching cannot be exact.  See ``README.md`` ("Parallel runner
+& result cache") and ``docs/MODELING.md`` (seed discipline, §11 gang
+semantics) for the invariants that make this safe.
 """
 
 from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.fingerprint import code_fingerprint
-from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid
+from repro.exec.gang import DEFECT, GangSpec, GangStats
 from repro.exec.runner import (ExecContext, default_jobs, executor,
                                get_exec_context, run_tasks)
 from repro.exec.task import SimTask
@@ -37,7 +37,6 @@ __all__ = [
     "code_fingerprint",
     "default_jobs",
     "executor",
-    "gang_calgrid",
     "get_exec_context",
     "run_tasks",
 ]

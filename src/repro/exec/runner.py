@@ -10,15 +10,21 @@ scheduled.  Execution is:
    once and share the result (e.g. Fig. 9's GridFTP leg and Fig. 10's
    GridFTP leg are the same simulation);
 3. **gang grouping** — cache-missed tasks carrying the same
-   :class:`~repro.exec.gang.GangSpec` run as one batch through their
-   gang kernel (scenario-axis execution); scenarios the kernel defects
-   fall through to step 4 unchanged, and a kernel that raises defects
-   its whole group with a :class:`RuntimeWarning`;
+   :class:`~repro.exec.gang.GangSpec` (today only the sensitivity
+   grid's cells) run as one batch through their gang kernel; scenarios
+   the kernel defects fall through to step 4 unchanged, and a kernel
+   that raises defects its whole group with a :class:`RuntimeWarning`;
 4. **fan-out** — remaining tasks run serially (``jobs=1``, the default:
    determinism-by-default, no pickling, no subprocesses) or on a
    ``ProcessPoolExecutor`` of ``jobs`` workers.  ``REPRO_JOBS`` changes
    the *default* worker count (``auto`` = one per core); an explicit
    jobs argument — the CLI's ``--jobs`` above all — always wins.
+
+Results are written through to the cache as they arrive — after each
+gang group, each serial task and each collected future — so a failing
+task loses no result computed before it.  On a failure the pool still
+collects every other future and stores what succeeded; then the first
+failure in task order is re-raised unchanged.
 
 Parallelism is safe because tasks share nothing: each builds its own
 :class:`~repro.sim.context.Context` (own clock, own
@@ -182,12 +188,20 @@ def run_tasks(tasks: Sequence[SimTask],
         groups.setdefault(tasks[i].identity(), []).append(i)
     leaders = [indices[0] for indices in groups.values()]
 
+    # Every leader's result goes to the cache the moment it exists, so a
+    # later failure in the batch cannot discard it.
+    computed: Dict[int, Any] = {}
+
+    def store(i: int, value: Any, via: str = "task") -> None:
+        computed[i] = value
+        if cache is not None:
+            cache.put(tasks[i], value, via=via)
+
     # Gang grouping: cache-missed leaders sharing a (kernel, key) spec
     # run as one batched scenario program; defected scenarios (and
     # groups of one, which have no batching to win) fall through to the
     # ordinary per-task path below.  Kernels run in-process — their
     # parallelism is the scenario axis, not worker processes.
-    computed: Dict[int, Any] = {}
     ganged: set = set()
     gangs: Dict[tuple, List[int]] = {}
     for i in leaders:
@@ -218,7 +232,7 @@ def run_tasks(tasks: Sequence[SimTask],
             if value is DEFECT:
                 defected += 1
             else:
-                computed[i] = value
+                store(i, value, via="gang")
                 ganged.add(i)
         GangStats.note_group(ganged=len(idxs) - defected, defected=defected)
 
@@ -228,19 +242,27 @@ def run_tasks(tasks: Sequence[SimTask],
         workers = 1  # never nest process pools inside a worker
     if workers <= 1:
         for i in remaining:
-            computed[i] = tasks[i].execute()
+            store(i, tasks[i].execute())
     else:
+        failure: Optional[Exception] = None
         with _pool(workers) as pool:
             futures = {i: pool.submit(_execute, tasks[i]) for i in remaining}
+            # Submission order is task order, so the first failure seen
+            # here is the first in task order.
             for i, future in futures.items():
-                computed[i] = future.result()
+                try:
+                    value = future.result()
+                except Exception as exc:
+                    if failure is None:
+                        failure = exc
+                    continue
+                store(i, value)
+        if failure is not None:
+            raise failure
     ctx.executed += len(leaders)
 
     for indices in groups.values():
         value = computed[indices[0]]
         for i in indices:
             results[i] = value
-        if cache is not None:
-            cache.put(tasks[indices[0]], value,
-                      via="gang" if indices[0] in ganged else "task")
     return results

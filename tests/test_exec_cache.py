@@ -151,6 +151,31 @@ def test_dedup_within_one_batch(tmp_path):
     assert cache.stats.stores == 1
 
 
+class ProbeFailure(RuntimeError):
+    """Raised by :func:`failing_task`; the runner must re-raise this type."""
+
+
+def failing_task(*, seed, cal, tag):
+    """A SimTask target that always raises."""
+    raise ProbeFailure(tag)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failure_keeps_results_computed_before_it(tmp_path, jobs):
+    cache = ResultCache(tmp_path)
+    good = [make_task(tag) for tag in ("a", "b", "c")]
+    bad = [SimTask("tests.test_exec_cache:failing_task", {"tag": tag})
+           for tag in ("first", "second")]
+    with pytest.raises(ProbeFailure, match="first"):
+        run_tasks(good + bad, ExecContext(jobs=jobs, cache=cache))
+    assert cache.stats.stores == 3
+
+    PROBE_CALLS.clear()
+    run_tasks(good, ExecContext(jobs=1, cache=cache))
+    assert PROBE_CALLS == []
+    assert cache.stats.hits == 3
+
+
 # -- corrupt entries ---------------------------------------------------------------
 
 

@@ -20,7 +20,8 @@ import pytest
 
 from repro.core.calibration import CALIBRATION, tracking_calibration
 from repro.core.experiments import ext_sensitivity
-from repro.core.sensitivity import (assemble_sensitivity, gang_cells,
+from repro.core.sensitivity import (EvalError, assemble_sensitivity,
+                                    gang_cells, run_projected,
                                     run_sensitivity, sensitivity_tasks)
 from repro.exec import (
     DEFECT,
@@ -29,16 +30,23 @@ from repro.exec import (
     GangStats,
     ResultCache,
     SimTask,
-    gang_calgrid,
     run_tasks,
 )
-from repro.exec.gang import EvalError, run_projected
 from repro.faults.plan import REPRO_FAULTS_ENV
 
 
 def scale_leg(*, seed, cal, factor):
-    """Cheap calgrid target: reads one constant, scales it."""
+    """Cheap gang-grid target: reads one constant, scales it."""
     return cal.qpi_bandwidth * factor + seed
+
+
+def scale_kernel(tasks):
+    """Test-local gang kernel: evaluates every scenario of the group."""
+    return [t.execute() for t in tasks]
+
+
+#: the gang spec every scale_leg grid task carries.
+SCALE_SPEC = GangSpec(kernel="tests.test_gang_exec:scale_kernel", key="scale")
 
 
 def _gang_delta(fn):
@@ -57,9 +65,9 @@ def _per_task(tasks):
 def _calgrid_tasks(n=4, factor=2.0):
     """n gang-eligible tasks differing only in calibration."""
     return [
-        gang_calgrid(SimTask("tests.test_gang_exec:scale_leg",
-                             {"factor": factor}, seed=3,
-                             cal=CALIBRATION.replace(qpi_bandwidth=1e9 + i)))
+        SimTask("tests.test_gang_exec:scale_leg", {"factor": factor}, seed=3,
+                cal=CALIBRATION.replace(qpi_bandwidth=1e9 + i),
+                gang=SCALE_SPEC)
         for i in range(n)
     ]
 
@@ -88,11 +96,11 @@ def test_singleton_group_runs_solo():
 
 def test_ambient_fault_plan_defects_whole_group(monkeypatch):
     monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5,duration=2")
-    tasks = _calgrid_tasks(4)
+    tasks = sensitivity_tasks(constants=("qpi_bandwidth",))
     (results, delta) = _gang_delta(
         lambda: run_tasks(tasks, ExecContext()))
     assert results == [t.execute() for t in tasks]
-    assert delta["scenarios_defected"] == 4
+    assert delta["scenarios_defected"] == 2
     assert delta["scenarios_ganged"] == 0
 
 
@@ -143,7 +151,7 @@ def test_gang_off_never_invokes_kernel():
 
 def test_gang_membership_excluded_from_identity():
     plain = SimTask("tests.test_gang_exec:scale_leg", {"factor": 2.0}, seed=1)
-    ganged = gang_calgrid(plain)
+    ganged = dataclasses.replace(plain, gang=SCALE_SPEC)
     assert ganged.gang is not None
     assert ganged.identity() == plain.identity()
     assert ganged.cache_key("f" * 16) == plain.cache_key("f" * 16)
@@ -251,6 +259,27 @@ def test_ext_sensitivity_report_byte_identical_gang_vs_off():
     off = ext_sensitivity.assemble(run_tasks(tasks), quick=True).render()
     auto = ext_sensitivity.run(quick=True).render()
     assert auto == off
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_every_gang_tag_in_the_report_forms_a_group(quick):
+    # A GangSpec that never shares its (kernel, key) with another task
+    # only ever runs solo: its kernel is dead code.  Plan (do not run)
+    # the whole report and require every gang group to have company.
+    from repro.core import reportgen
+
+    groups: dict = {}
+    for registry, modules in reportgen._REGISTRIES.items():
+        for name, module in modules.items():
+            tasks, _ = reportgen._plan_experiment(registry, name, module,
+                                                  quick, 0, None)
+            for task in tasks:
+                if task.gang is not None:
+                    key = (task.gang.kernel, task.gang.key)
+                    groups.setdefault(key, set()).add(task.identity())
+    assert groups, "the sensitivity grid should gang"
+    singletons = sorted(key for key, ids in groups.items() if len(ids) < 2)
+    assert singletons == []
 
 
 # -- the fingerprint memo ---------------------------------------------------
